@@ -1,18 +1,27 @@
 """Micro-benchmarks of the library's hot paths.
 
 These time the primitives the figure experiments spend their cycles in:
-delay-oracle queries, tree restructures, MLC group selection and the
-packet-level episode pricing.
+member sampling, delay-oracle queries, tree restructures, MLC group
+selection and loss correlation, and the packet-level episode pricing.
+The sampling, ``delays_from`` and group-correlation cases run at the
+sizes the simulation issues, where scalar code beats a numpy call, plus
+a longer list or query, so the per-call costs docs/performance.md quotes
+can be re-measured.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import TopologyConfig
+from repro.overlay.membership import MembershipService
 from repro.overlay.node import OverlayNode
 from repro.overlay.tree import MulticastTree
 from repro.recovery.episode import RepairSource, starvation_episode
-from repro.recovery.mlc import PartialTreeView, select_mlc_group
+from repro.recovery.mlc import (
+    PartialTreeView,
+    group_loss_correlation,
+    select_mlc_group,
+)
 from repro.sim.engine import Simulator
 from repro.topology.routing import DelayOracle
 from repro.topology.transit_stub import generate_transit_stub
@@ -43,6 +52,32 @@ def test_oracle_delay_queries(benchmark, topo_oracle):
         return total
 
     assert benchmark(query_block) > 0
+
+
+@pytest.mark.parametrize("num_targets", (4, 64))
+def test_oracle_delays_from(benchmark, topo_oracle, num_targets):
+    """4 targets: a join tie-break or recovery group; 64: a long list
+    such as a tree sample."""
+    topo, oracle = topo_oracle
+    rng = np.random.default_rng(num_targets)
+    stubs = list(topo.stub_nodes)
+    targets = [stubs[int(i)] for i in rng.integers(0, len(stubs), size=num_targets)]
+    delays = benchmark(lambda: oracle.delays_from(stubs[0], targets))
+    assert len(delays) == num_targets
+
+
+@pytest.mark.parametrize("k", (1, 2, 100))
+def test_membership_sample(benchmark, k):
+    """k = 1, 2: referee picks; k = 100: a paper-scale join query."""
+    service = MembershipService(np.random.default_rng(3))
+    members = []
+    for member_id in range(2000):
+        node = OverlayNode(member_id, member_id, 2.0, 2, 0.0)
+        node.attached = member_id % 10 != 0
+        service.register(node)
+        members.append(node)
+    picked = benchmark(lambda: service.sample(k, exclude=[members[0]]))
+    assert len(picked) == k
 
 
 def test_topology_generation(benchmark):
@@ -90,6 +125,13 @@ def test_mlc_group_selection(benchmark):
     rng = np.random.default_rng(2)
     group = benchmark(lambda: select_mlc_group(view, 3, rng))
     assert 0 < len(group) <= 3
+
+
+def test_group_loss_correlation(benchmark):
+    tree = _build_tree(400)
+    deep = sorted(tree.attached_nodes(), key=lambda n: -n.layer)
+    group = deep[:3]
+    assert benchmark(lambda: group_loss_correlation(group)) >= 0
 
 
 def test_starvation_episode_pricing(benchmark):

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Set
 import numpy as np
 
 from ..errors import ProtocolError
-from ..sim.fastrand import BatchedIntegers
 from .node import OverlayNode
 
 
@@ -29,10 +28,6 @@ class MembershipService:
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        #: Draw-exact batched replacement for the scalar ``integers`` calls
-        #: in the rejection loop (the hottest RNG path in a churn run).
-        #: Falls back transparently when replication is unverified.
-        self._batch = BatchedIntegers(rng)
         self._nodes: List[OverlayNode] = []
         self._index: Dict[int, int] = {}
 
@@ -75,13 +70,8 @@ class MembershipService:
         if k < 0:
             raise ProtocolError(f"sample size must be >= 0, got {k}")
         excluded: Set[int] = {n.member_id for n in exclude}
-
-        def eligible(node: OverlayNode) -> bool:
-            if node.member_id in excluded:
-                return False
-            return node.attached or not attached_only
-
-        population = len(self._nodes)
+        nodes = self._nodes
+        population = len(nodes)
         if population == 0 or k == 0:
             return []
         # Fast path: sample indices and filter; fall back to a full filtered
@@ -91,38 +81,33 @@ class MembershipService:
             seen: Set[int] = set()
             attempts = 0
             max_attempts = 8 * k + 32
-            if self._batch.begin(population):
-                # Batched draws: identical sequence to the scalar
-                # ``integers`` loop below, ~3x cheaper per draw; ``end``
-                # resyncs the generator to the exact scalar-path state.
-                try:
-                    while len(picked) < k and attempts < max_attempts:
-                        attempts += 1
-                        node = self._nodes[self._batch.next()]
-                        if node.member_id in seen:
-                            continue
-                        seen.add(node.member_id)
-                        if eligible(node):
-                            picked.append(node)
-                finally:
-                    self._batch.end()
-            else:
-                while len(picked) < k and attempts < max_attempts:
-                    attempts += 1
-                    idx = int(self._rng.integers(0, population))
-                    node = self._nodes[idx]
-                    if node.member_id in seen:
+            while len(picked) < k and attempts < max_attempts:
+                # Each draw picks at most one member, so the loop is certain
+                # to make ``m`` more draws; one vector call consumes the
+                # generator exactly as ``m`` scalar ``integers`` calls would.
+                m = min(k - len(picked), max_attempts - attempts)
+                attempts += m
+                for idx in self._rng.integers(0, population, size=m).tolist():
+                    node = nodes[idx]
+                    member_id = node.member_id
+                    if member_id in seen:
                         continue
-                    seen.add(node.member_id)
-                    if eligible(node):
+                    seen.add(member_id)
+                    if member_id not in excluded and (
+                        node.attached or not attached_only
+                    ):
                         picked.append(node)
             if len(picked) == k:
                 return picked
-        candidates = [n for n in self._nodes if eligible(n)]
+        candidates = [
+            n
+            for n in nodes
+            if n.member_id not in excluded and (n.attached or not attached_only)
+        ]
         if len(candidates) <= k:
             return candidates
         indices = self._rng.choice(len(candidates), size=k, replace=False)
-        return [candidates[int(i)] for i in indices]
+        return [candidates[i] for i in indices.tolist()]
 
     def sample_for(
         self,

@@ -36,7 +36,7 @@ def naive_root_path_ids(node: OverlayNode) -> List[int]:
 
     Retained (with :func:`naive_loss_correlation` /
     :func:`naive_group_loss_correlation`) as the ground truth the property
-    tests check the cached/vectorized paths against.
+    tests check the cached paths against.
     """
     path = [node.member_id]
     current = node.parent
@@ -97,16 +97,19 @@ def naive_loss_correlation(a: OverlayNode, b: OverlayNode) -> int:
     return max(0, shared - 1)
 
 
-def loss_correlation(a: OverlayNode, b: OverlayNode) -> int:
-    """w(a, b): number of shared tree edges on the two root paths."""
-    path_a = _root_path(a)
-    path_b = _root_path(b)
+def _shared_edges(path_a: tuple, path_b: tuple) -> int:
+    """Tree edges on the common prefix of two root paths."""
     shared = 0
     for ia, ib in zip(path_a, path_b):
         if ia != ib:
             break
         shared += 1
     return max(0, shared - 1)
+
+
+def loss_correlation(a: OverlayNode, b: OverlayNode) -> int:
+    """w(a, b): number of shared tree edges on the two root paths."""
+    return _shared_edges(_root_path(a), _root_path(b))
 
 
 def naive_group_loss_correlation(nodes: Sequence[OverlayNode]) -> int:
@@ -121,25 +124,16 @@ def naive_group_loss_correlation(nodes: Sequence[OverlayNode]) -> int:
 def group_loss_correlation(nodes: Sequence[OverlayNode]) -> int:
     """Pairwise loss-correlation sum the MLC group minimises.
 
-    Vectorized: pad the k root paths into a (k, maxlen) id matrix and
-    count shared prefixes for all pairs at once — prefix length is the
-    run of leading positions where both rows match (cumprod of the
-    elementwise equality), and each pair contributes
-    ``max(prefix - 1, 0)`` shared edges.  Exact integer arithmetic, so
-    the result equals the naive pair loop for any input.
+    Recovery groups are small (the paper uses 1-4 members), so the pair
+    loop over the epoch-cached root paths costs a few microseconds, less
+    than building any array formulation.
     """
-    k = len(nodes)
-    if k < 2:
-        return 0
     paths = [_root_path(n) for n in nodes]
-    maxlen = max(len(p) for p in paths)
-    arr = np.full((k, maxlen), -1, dtype=np.int64)
-    for i, p in enumerate(paths):
-        arr[i, : len(p)] = p
-    eq = (arr[:, None, :] == arr[None, :, :]) & (arr[:, None, :] != -1)
-    prefix = np.cumprod(eq, axis=2).sum(axis=2)
-    w = np.maximum(prefix - 1, 0)
-    return int(np.triu(w, k=1).sum())
+    total = 0
+    for i, path_a in enumerate(paths):
+        for path_b in paths[i + 1 :]:
+            total += _shared_edges(path_a, path_b)
+    return total
 
 
 def group_underlay_correlation(

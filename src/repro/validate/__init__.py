@@ -8,7 +8,7 @@ Two complementary defenses against silent fidelity loss:
   schema-versioned golden baselines under ``tests/golden/baselines/``.
 * **Differential oracles** (:mod:`repro.validate.differential`): replay
   identical seeds and schedules through implementation pairs that must
-  agree (vectorized vs naive kernels, serial vs pooled execution,
+  agree (optimized vs naive kernels, serial vs pooled execution,
   store-resumed vs uninterrupted, observed vs unobserved).
 
 Command-line access: ``python -m repro.validate {gate,diff,baseline}``;

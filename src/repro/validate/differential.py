@@ -1,7 +1,7 @@
 """Differential oracles: pairs of implementations that must agree.
 
 The repo deliberately retains slower reference implementations next to
-every optimized path (naive MLC kernels beside the vectorized ones, the
+every optimized path (naive MLC kernels beside the cached ones, the
 per-packet episode simulator beside the closed-form pricing, the serial
 runner beside the process pool, plain runs beside store-replayed ones).
 Each oracle here replays *identical seeds and schedules* through one
@@ -13,10 +13,10 @@ Oracles (see :data:`ORACLES`):
 
 ``mlc_kernels``
     Drives a fault-schedule-perturbed churn run, then compares the
-    epoch-cached/vectorized root-path and loss-correlation kernels
-    against their naive references over the surviving tree.
+    epoch-cached root-path and loss-correlation kernels against their
+    naive references over the surviving tree.
 ``delay_oracle``
-    Scalar :meth:`DelayOracle.delay_ms` vs the case-masked batch
+    Scalar :meth:`DelayOracle.delay_ms` vs the batch
     :meth:`DelayOracle.delays_from`; the contract is *bit*-identical
     IEEE doubles.
 ``episode_pricing``
@@ -117,15 +117,15 @@ def _random_fault_schedule(seed: int):
 def run_mlc_kernel_differential(
     seed: int = 0, schedule=None
 ) -> OracleOutcome:
-    """Vectorized/cached MLC kernels vs naive references, post-faults.
+    """Cached MLC kernels vs naive references, post-faults.
 
     Runs a small churn simulation under ``schedule`` (a seed-derived
     random one by default) so crashes, outages and the resulting repairs
     have churned the tree — the epoch-based path caches have been
     invalidated and rebuilt many times — then compares, over every
     attached member: the cached root path, all pairwise loss
-    correlations, and the vectorized group sum on random subsets,
-    against the walk-the-parent-chain ground truth.
+    correlations, and the group sum on random subsets, against the
+    walk-the-parent-chain ground truth.
     """
     from ..faults import FaultInjector
     from ..protocols import PROTOCOLS

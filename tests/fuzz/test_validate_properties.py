@@ -1,5 +1,5 @@
 """Property-based tests for the validation subsystem's statistics and
-its flagship differential: vectorized-vs-naive kernels under *random*
+its flagship differential: cached-vs-naive kernels under *random*
 fault schedules.
 
 Run explicitly with ``pytest -m fuzz`` (excluded from tier-1 by the
@@ -114,7 +114,7 @@ class TestFlattenNumeric:
 
 class TestKernelDifferentialUnderRandomFaults:
     """The tentpole property: for ANY small fault schedule, the
-    vectorized/cached MLC kernels agree exactly with the naive
+    cached MLC kernels agree exactly with the naive
     walk-the-tree references on the post-fault overlay."""
 
     @given(

@@ -1,4 +1,4 @@
-"""Repository hygiene: no bytecode, cache or result artefacts tracked.
+"""Repository hygiene: no bytecode, cache, build or result artefacts tracked.
 
 CI enforces the same rule with a `git ls-files` guard; this test keeps
 the check in the local tier-1 loop so an accidental `git add -A` of
@@ -24,6 +24,7 @@ FORBIDDEN_PATTERNS = (
     "*/.hypothesis/*",
     ".coverage",
     "coverage.xml",
+    "*.egg-info/*",
 )
 
 
@@ -52,7 +53,13 @@ def test_no_bytecode_or_cache_artifacts_tracked():
 
 def test_gitignore_covers_test_tooling_artifacts():
     ignored = (REPO_ROOT / ".gitignore").read_text().splitlines()
-    for required in ("__pycache__/", "*.pyc", ".hypothesis/", ".coverage"):
+    for required in (
+        "__pycache__/",
+        "*.pyc",
+        ".hypothesis/",
+        ".coverage",
+        "*.egg-info/",
+    ):
         assert required in ignored, f".gitignore is missing {required!r}"
 
 

@@ -1,13 +1,15 @@
-"""Property tests: vectorized/cached MLC kernels == the naive reference.
+"""Property tests: epoch-cached MLC kernels == the naive reference.
 
-``recovery/mlc.py`` keeps the pre-vectorization implementations
+``recovery/mlc.py`` keeps walk-the-parent-chain implementations
 (``naive_root_path_ids`` / ``naive_loss_correlation`` /
-``naive_group_loss_correlation``) as executable ground truth.  Hypothesis
-drives random tree histories — attaches, detaches, rejoins and
-parent-child swaps, interleaved with queries so the epoch-based path
-caches are exercised both warm and invalidated — and every query must
-match the naive walk exactly, including the RNG draw sequence of
-``select_mlc_group``.
+``naive_group_loss_correlation``) as executable ground truth for the
+kernels that read epoch-cached root paths: ``root_path_ids``,
+``loss_correlation`` and ``group_loss_correlation`` (the pairwise sum of
+shared prefixes over the cached paths).  Hypothesis drives random tree
+histories — attaches, detaches, rejoins and parent-child swaps,
+interleaved with queries so the epoch-based path caches are exercised
+both warm and invalidated — and every query must match the naive walk
+exactly, including the RNG draw sequence of ``select_mlc_group``.
 """
 
 from __future__ import annotations

@@ -104,3 +104,94 @@ def test_unregister_swap_pop_keeps_index_consistent(service):
     remaining = service.sample(9)
     assert nodes[0] not in remaining
     assert len(remaining) == 9
+
+
+def reference_sample(nodes, rng, k, exclude=(), attached_only=True):
+    """The scalar rejection loop ``MembershipService.sample`` replaced.
+
+    One ``integers(0, population)`` call per attempt; the service must
+    return the same members in the same order and leave the generator in
+    the same state.
+    """
+    excluded = {n.member_id for n in exclude}
+
+    def eligible(node):
+        if node.member_id in excluded:
+            return False
+        return node.attached or not attached_only
+
+    population = len(nodes)
+    if population == 0 or k == 0:
+        return []
+    if k * 3 < population:
+        picked = []
+        seen = set()
+        attempts = 0
+        max_attempts = 8 * k + 32
+        while len(picked) < k and attempts < max_attempts:
+            attempts += 1
+            node = nodes[int(rng.integers(0, population))]
+            if node.member_id in seen:
+                continue
+            seen.add(node.member_id)
+            if eligible(node):
+                picked.append(node)
+        if len(picked) == k:
+            return picked
+    candidates = [n for n in nodes if eligible(n)]
+    if len(candidates) <= k:
+        return candidates
+    indices = rng.choice(len(candidates), size=k, replace=False)
+    return [candidates[int(i)] for i in indices]
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_sample_matches_scalar_reference():
+        pass
+
+else:
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.sampled_from((1, 2, 3, 16, 100)),
+        seed=st.integers(0, 2**32 - 1),
+        # Up to all-detached, so the rejection loop also runs out of
+        # attempts and falls back to the filtered pass.
+        detached_permille=st.sampled_from((0, 100, 500, 900, 990, 1000)),
+        attached_only=st.booleans(),
+        pending_half=st.booleans(),
+    )
+    def test_sample_matches_scalar_reference(
+        data, k, seed, detached_permille, attached_only, pending_half
+    ):
+        # Populations on both sides of the rejection threshold 3k.
+        population = data.draw(st.integers(0, 4 * k + 8), label="population")
+        layout = np.random.default_rng(seed ^ 0x5A5A)
+        nodes = [make_node(i + 1) for i in range(population)]
+        for node in nodes:
+            node.attached = bool(layout.integers(0, 1000) >= detached_permille)
+        excluded = [n for n in nodes if layout.integers(0, 8) == 0]
+
+        service = MembershipService(np.random.default_rng(seed))
+        for node in nodes:
+            service.register(node)
+        reference_rng = np.random.default_rng(seed)
+        if pending_half:
+            # One earlier 32-bit draw leaves half a raw output buffered.
+            service._rng.integers(0, 1000)
+            reference_rng.integers(0, 1000)
+        for _ in range(2):
+            got = service.sample(k, exclude=excluded, attached_only=attached_only)
+            want = reference_sample(
+                nodes, reference_rng, k, exclude=excluded, attached_only=attached_only
+            )
+            assert [n.member_id for n in got] == [n.member_id for n in want]
+            assert (
+                service._rng.bit_generator.state
+                == reference_rng.bit_generator.state
+            )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.protocols.rost import RostProtocol
-from repro.protocols.rost.referees import RefereeService
+from repro.protocols.rost.referees import RefereeRecord, RefereeService
 from tests.protocol_harness import Harness
 
 
@@ -127,6 +127,35 @@ def test_departed_referee_is_replaced(harness, service):
     assert service.replacements >= 1
     # the record still answers with the original measurement
     assert service.verified(node)[0] == pytest.approx(3.0, rel=0.25)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known bug: ChurnSimulation._on_departure calls "
+    "protocol.on_departure before membership.unregister, so the departing "
+    "referee is still sampleable as its own replacement; fixing the order "
+    "changes the membership RNG stream of every ROST run",
+)
+def test_departing_referee_is_not_its_own_replacement(harness, service):
+    ward, departing, survivor = (harness.new_member() for _ in range(3))
+    # Only the ward and its two referees remain sampleable.
+    harness.membership.unregister(harness.tree.root)
+    service._records[ward.member_id] = RefereeRecord(
+        member_id=ward.member_id,
+        measured_bandwidth=ward.bandwidth,
+        recorded_join_time=ward.join_time,
+        age_referees=[departing.member_id],
+        bandwidth_referees=[survivor.member_id],
+    )
+    for referee in (departing, survivor):
+        service._refereeing[referee.member_id] = {ward.member_id}
+    # ChurnSimulation's order: the protocol hears of the departure while
+    # the member is still registered with the membership service.
+    service.on_departure(departing)
+    record = service._records[ward.member_id]
+    assert departing.member_id not in (
+        record.age_referees + record.bandwidth_referees
+    )
 
 
 def test_ward_departure_drops_record(harness, service):

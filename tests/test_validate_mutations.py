@@ -169,7 +169,7 @@ def test_stripe_timing_skew_caught_by_episode_oracle(monkeypatch):
 
 
 def test_group_correlation_off_by_one_caught_by_kernel_oracle(monkeypatch):
-    """Bug: the vectorized group-correlation kernel over-counts by one."""
+    """Bug: the cached group-correlation kernel over-counts by one."""
     from repro.recovery import mlc
 
     original = mlc.group_loss_correlation
@@ -183,7 +183,7 @@ def test_group_correlation_off_by_one_caught_by_kernel_oracle(monkeypatch):
 
 
 def test_batch_delay_bias_caught_by_delay_oracle(monkeypatch):
-    """Bug: the vectorized delay path gains a tiny constant bias."""
+    """Bug: the batch delay path gains a tiny constant bias."""
     from repro.topology import routing
 
     original = routing.DelayOracle.delays_from
