@@ -1,8 +1,9 @@
 """Micro-benchmarks of the library's hot paths.
 
 These time the primitives the figure experiments spend their cycles in:
-member sampling, delay-oracle queries, tree restructures, MLC group
-selection and loss correlation, and the packet-level episode pricing.
+member sampling, delay-oracle queries, tree restructures, recovery-view
+construction, MLC group selection and loss correlation, and the
+packet-level episode pricing.
 The sampling, ``delays_from`` and group-correlation cases run at the
 sizes the simulation issues, where scalar code beats a numpy call, plus
 a longer list or query, so the per-call costs docs/performance.md quotes
@@ -66,12 +67,16 @@ def test_oracle_delays_from(benchmark, topo_oracle, num_targets):
     assert len(delays) == num_targets
 
 
-@pytest.mark.parametrize("k", (1, 2, 100))
-def test_membership_sample(benchmark, k):
-    """k = 1, 2: referee picks; k = 100: a paper-scale join query."""
+@pytest.mark.parametrize(
+    "k, population", ((1, 2000), (2, 2000), (100, 2000), (100, 200))
+)
+def test_membership_sample(benchmark, k, population):
+    """k = 1, 2: referee picks; k = 100: a paper-scale join query.  At
+    200 members (3k >= population) it is the filtered fallback that every
+    join and view query of the benchmark workloads takes."""
     service = MembershipService(np.random.default_rng(3))
     members = []
-    for member_id in range(2000):
+    for member_id in range(population):
         node = OverlayNode(member_id, member_id, 2.0, 2, 0.0)
         node.attached = member_id % 10 != 0
         service.register(node)
@@ -116,6 +121,16 @@ def test_tree_attach_detach_cycle(benchmark):
 
     benchmark(churn_cycle)
     tree.check_invariants()
+
+
+def test_partial_view_from_members(benchmark):
+    """One recovery view: 100 known members of a 400-node tree."""
+    tree = _build_tree(400)
+    rng = np.random.default_rng(4)
+    attached = [n for n in tree.attached_nodes() if not n.is_root]
+    known = [attached[int(i)] for i in rng.choice(len(attached), 100, replace=False)]
+    view = benchmark(lambda: PartialTreeView.from_members(known))
+    assert len(view) > 100
 
 
 def test_mlc_group_selection(benchmark):

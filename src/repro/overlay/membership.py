@@ -99,11 +99,18 @@ class MembershipService:
                         picked.append(node)
             if len(picked) == k:
                 return picked
-        candidates = [
-            n
-            for n in nodes
-            if n.member_id not in excluded and (n.attached or not attached_only)
-        ]
+        # Filter by attachment first, then remove the few excluded members
+        # that are registered and eligible: the same list, in the same
+        # order, as testing every member against ``excluded``.
+        if attached_only:
+            candidates = [n for n in nodes if n.attached]
+        else:
+            candidates = list(nodes)
+        index = self._index
+        for member_id in excluded:
+            pos = index.get(member_id)
+            if pos is not None and (nodes[pos].attached or not attached_only):
+                candidates.remove(nodes[pos])
         if len(candidates) <= k:
             return candidates
         indices = self._rng.choice(len(candidates), size=k, replace=False)

@@ -41,6 +41,13 @@ class MessageType(enum.Enum):
     NACK = "nack"
     ELN = "eln"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with equality.  Enum's own ``__hash__`` is a Python-level
+    # ``hash(self._name_)``, called twice by every ``MessageStats.record``.
+    # Neither hash is stable across processes (str hashes are salted), so
+    # no output can depend on which one is used.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class MessageStats:

@@ -22,7 +22,6 @@ paths it reconstructs a partial tree (Fig. 3) and runs Algorithm 1:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
@@ -158,12 +157,6 @@ def group_underlay_correlation(
     return total
 
 
-@dataclass
-class _ViewNode:
-    member_id: int
-    children: Set[int] = field(default_factory=set)
-
-
 class PartialTreeView:
     """A member's reconstruction of the tree from its partial view.
 
@@ -173,7 +166,10 @@ class PartialTreeView:
 
     def __init__(self, root_id: int):
         self.root_id = root_id
-        self._nodes: Dict[int, _ViewNode] = {root_id: _ViewNode(root_id)}
+        # Member id -> child ids.  Insertion order is the order members
+        # entered the view; ``member_ids`` (and through it
+        # ``select_random_group``) indexes it.
+        self._nodes: Dict[int, Set[int]] = {root_id: set()}
         # Derived-structure caches.  One episode prices every recovery
         # scheme against the same view, so sorted child lists, the level
         # decomposition and subtree member lists are queried several
@@ -197,28 +193,55 @@ class PartialTreeView:
         descendants) from the view entirely: a path is truncated at the
         first excluded member, since everything below it is unusable as a
         recovery source.
+
+        All paths are read from one tree at one instant, so the view is
+        ancestor-closed: each member's walk up the parent chain stops at
+        the first ancestor already in the view, and only the new suffix
+        below it is added.  Every non-root view member passed the
+        exclusion test when it was added, so the first excluded id on a
+        path can only lie in that suffix.  The view equals
+        :func:`naive_view_from_members`, insertion order included.
         """
         excluded = set(exclude)
-        root_id: Optional[int] = None
-        paths: List[List[int]] = []
+        view: Optional[PartialTreeView] = None
+        children: Dict[int, Set[int]] = {}
+        root_excluded = False
         for member in known:
-            path = root_path_ids(member)
-            if root_id is None:
-                root_id = path[0]
-            cut = len(path)
-            for i, member_id in enumerate(path):
+            chain: List[OverlayNode] = []
+            node: Optional[OverlayNode] = member
+            while node is not None and node.member_id not in children:
+                chain.append(node)
+                node = node.parent
+            if view is None:
+                # The first member's component top is the root, even when
+                # it is excluded.
+                top_id = chain.pop().member_id
+                view = cls(top_id)
+                children = view._nodes
+                root_excluded = top_id in excluded
+                parent_id = top_id
+            elif node is None:
+                # The walk left the view's component: a path whose top is
+                # excluded is skipped, any other is not from this tree.
+                top_id = chain[-1].member_id
+                if top_id in excluded:
+                    continue
+                raise RecoveryError(
+                    f"path starts at {top_id}, expected root {view.root_id}"
+                )
+            else:
+                parent_id = node.member_id
+            if root_excluded:
+                continue
+            for node in reversed(chain):
+                member_id = node.member_id
                 if member_id in excluded:
-                    cut = i
                     break
-            if cut >= 2:
-                paths.append(path[:cut])
-            elif cut == 1:
-                paths.append(path[:1])
-        if root_id is None:
+                children[parent_id].add(member_id)
+                children[member_id] = set()
+                parent_id = member_id
+        if view is None:
             raise RecoveryError("cannot build a view from an empty sample")
-        view = cls(root_id)
-        for path in paths:
-            view._add_path(path)
         return view
 
     def _add_path(self, path: List[int]) -> None:
@@ -227,9 +250,8 @@ class PartialTreeView:
                 f"path starts at {path[0]}, expected root {self.root_id}"
             )
         for parent_id, child_id in zip(path, path[1:]):
-            parent = self._nodes.setdefault(parent_id, _ViewNode(parent_id))
-            parent.children.add(child_id)
-            self._nodes.setdefault(child_id, _ViewNode(child_id))
+            self._nodes.setdefault(parent_id, set()).add(child_id)
+            self._nodes.setdefault(child_id, set())
         self._children_cache = None
         self._levels_cache = None
         if self._descendants_cache:
@@ -240,7 +262,7 @@ class PartialTreeView:
         cache = self._children_cache
         if cache is None:
             cache = self._children_cache = {
-                mid: sorted(node.children) for mid, node in self._nodes.items()
+                mid: sorted(kids) for mid, kids in self._nodes.items()
             }
         children = cache.get(member_id)
         if children is None:
@@ -288,12 +310,47 @@ class PartialTreeView:
         return list(cached)
 
 
+def naive_view_from_members(
+    known: Iterable[OverlayNode], exclude: Iterable[int] = ()
+) -> PartialTreeView:
+    """Reference view builder: one full root path per known member.
+
+    Copies every member's root path, cuts it at the first excluded id and
+    adds it edge by edge.  Ground truth for the one-pass
+    :meth:`PartialTreeView.from_members`; the ``mlc_kernels`` oracle and
+    the property tests check the two build the same view, member order
+    included.
+    """
+    excluded = set(exclude)
+    root_id: Optional[int] = None
+    paths: List[List[int]] = []
+    for member in known:
+        path = root_path_ids(member)
+        if root_id is None:
+            root_id = path[0]
+        cut = len(path)
+        for i, member_id in enumerate(path):
+            if member_id in excluded:
+                cut = i
+                break
+        if cut >= 2:
+            paths.append(path[:cut])
+        elif cut == 1:
+            paths.append(path[:1])
+    if root_id is None:
+        raise RecoveryError("cannot build a view from an empty sample")
+    view = PartialTreeView(root_id)
+    for path in paths:
+        view._add_path(path)
+    return view
+
+
 def naive_view_children(view: PartialTreeView, member_id: int) -> List[int]:
     """Reference child list: sorted from the raw sets on every call."""
-    node = view._nodes.get(member_id)
-    if node is None:
+    children = view._nodes.get(member_id)
+    if children is None:
         raise RecoveryError(f"member {member_id} not in the partial view")
-    return sorted(node.children)
+    return sorted(children)
 
 
 def naive_view_levels(view: PartialTreeView) -> List[List[int]]:

@@ -13,8 +13,9 @@ Oracles (see :data:`ORACLES`):
 
 ``mlc_kernels``
     Drives a fault-schedule-perturbed churn run, then compares the
-    epoch-cached root-path and loss-correlation kernels against their
-    naive references over the surviving tree.
+    epoch-cached root-path and loss-correlation kernels, and the one-pass
+    partial-view builder, against their naive references over the
+    surviving tree.
 ``delay_oracle``
     Scalar :meth:`DelayOracle.delay_ms` vs the batch
     :meth:`DelayOracle.delays_from`; the contract is *bit*-identical
@@ -81,7 +82,11 @@ def _tiny_config(seed: int):
             stub_nodes_per_domain=4,
             seed=11,
         ),
-        workload=WorkloadConfig(target_population=50),
+        # A root of out-degree 10 under 100 members builds a tree up to
+        # six levels deep.  Under the default root every member would sit
+        # at depth 1, where root paths, shared prefixes and view suffixes
+        # are trivial.
+        workload=WorkloadConfig(target_population=100, root_bandwidth=10.0),
         warmup_lifetimes=0.5,
         measure_lifetimes=0.5,
     )
@@ -125,16 +130,21 @@ def run_mlc_kernel_differential(
     invalidated and rebuilt many times — then compares, over every
     attached member: the cached root path, all pairwise loss
     correlations, and the group sum on random subsets, against the
-    walk-the-parent-chain ground truth.
+    walk-the-parent-chain ground truth.  Then it builds partial views
+    from random known subsets, each excluding a random member's subtree,
+    with :meth:`PartialTreeView.from_members` and with the path-by-path
+    reference, and compares member order and every child list.
     """
     from ..faults import FaultInjector
     from ..protocols import PROTOCOLS
     from ..recovery.mlc import (
+        PartialTreeView,
         group_loss_correlation,
         loss_correlation,
         naive_group_loss_correlation,
         naive_loss_correlation,
         naive_root_path_ids,
+        naive_view_from_members,
         root_path_ids,
     )
     from ..simulation.churn import ChurnSimulation
@@ -185,6 +195,34 @@ def run_mlc_kernel_differential(
                     "path": f"group_loss_correlation[trial {trial}]",
                     "detail": f"{fast} != naive {slow} "
                     f"(members {[n.member_id for n in subset]})",
+                }
+            )
+    for trial in range(16):
+        size = int(rng.integers(1, len(nodes) + 1))
+        known = [
+            nodes[int(i)] for i in rng.choice(len(nodes), size=size, replace=False)
+        ]
+        top = nodes[int(rng.integers(0, len(nodes)))]
+        exclude = {top.member_id, *(n.member_id for n in top.descendants())}
+        comparisons += 1
+        fast_view = PartialTreeView.from_members(known, exclude=exclude)
+        slow_view = naive_view_from_members(known, exclude=exclude)
+        fast_ids, slow_ids = fast_view.member_ids(), slow_view.member_ids()
+        if fast_ids != slow_ids:
+            detail = f"member_ids {fast_ids} != naive {slow_ids}"
+        else:
+            detail = "; ".join(
+                f"children_of({m}) {fast_view.children_of(m)} != naive "
+                f"{slow_view.children_of(m)}"
+                for m in fast_ids
+                if fast_view.children_of(m) != slow_view.children_of(m)
+            )
+        if detail:
+            differences.append(
+                {
+                    "path": f"from_members[trial {trial}]",
+                    "detail": f"{detail} (excluding the subtree of "
+                    f"{top.member_id})",
                 }
             )
     return OracleOutcome(

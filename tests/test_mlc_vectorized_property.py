@@ -9,7 +9,9 @@ shared prefixes over the cached paths).  Hypothesis drives random tree
 histories — attaches, detaches, rejoins and parent-child swaps,
 interleaved with queries so the epoch-based path caches are exercised
 both warm and invalidated — and every query must match the naive walk
-exactly, including the RNG draw sequence of ``select_mlc_group``.
+exactly.  The one-pass ``PartialTreeView.from_members`` must build the
+same view as ``naive_view_from_members``, so that ``select_mlc_group``
+and ``select_random_group`` make the same RNG draws on both.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from repro.recovery.mlc import (
     naive_group_loss_correlation,
     naive_loss_correlation,
     naive_root_path_ids,
+    naive_view_from_members,
     root_path_ids,
     select_mlc_group,
+    select_random_group,
 )
 
 #: Each step: (op selector, parameter draw) — interpreted modulo the
@@ -136,34 +140,39 @@ def test_group_loss_correlation_matches_naive(steps, group_seed):
     steps=STEPS,
     select_seed=st.integers(0, 2**32 - 1),
     group_size=st.integers(1, 8),
+    exclude_pick=st.none() | st.integers(0, 10**6),
 )
-def test_select_mlc_group_matches_naive_view(steps, select_seed, group_size):
-    """Algorithm 1 over cached paths == over naive paths, draw for draw.
+def test_select_mlc_group_matches_naive_view(
+    steps, select_seed, group_size, exclude_pick
+):
+    """One-pass view == path-by-path reference view, draw for draw.
 
-    The view construction consumes ``root_path_ids`` (the cached kernel);
-    a view built from ``naive_root_path_ids`` must be structurally
-    identical, and identical-seeded selection must return the same group.
+    ``PartialTreeView.from_members`` walks each member's parent chain only
+    up to the view; ``naive_view_from_members`` adds every full root path.
+    Over a shuffled sample (ancestors often listed after descendants) and
+    an optional excluded subtree, both must list the same members in the
+    same order with the same children, and identical-seeded MLC and
+    random selection must return the same group.
     """
     tree = _build_history(steps)
     attached = [n for n in tree.members.values() if n.attached]
     if len(attached) < 2:
         return
+    rng = np.random.default_rng(select_seed)
+    known = [attached[int(i)] for i in rng.permutation(len(attached))]
+    exclude = set()
+    if exclude_pick is not None:
+        top = attached[exclude_pick % len(attached)]
+        exclude = {top.member_id, *(n.member_id for n in top.descendants())}
 
-    view_fast = PartialTreeView.from_members(attached)
-    view_naive = PartialTreeView(naive_root_path_ids(tree.root)[0])
-    for member in attached:
-        path = naive_root_path_ids(member)
-        if len(path) >= 1:
-            view_naive._add_path(path if len(path) >= 2 else path[:1])
+    view_fast = PartialTreeView.from_members(known, exclude=exclude)
+    view_naive = naive_view_from_members(known, exclude=exclude)
 
-    assert sorted(view_fast.member_ids()) == sorted(view_naive.member_ids())
+    assert view_fast.member_ids() == view_naive.member_ids()
     for mid in view_fast.member_ids():
         assert view_fast.children_of(mid) == view_naive.children_of(mid)
 
-    fast = select_mlc_group(
-        view_fast, group_size, np.random.default_rng(select_seed)
-    )
-    naive = select_mlc_group(
-        view_naive, group_size, np.random.default_rng(select_seed)
-    )
-    assert fast == naive
+    for select in (select_mlc_group, select_random_group):
+        fast = select(view_fast, group_size, np.random.default_rng(select_seed))
+        naive = select(view_naive, group_size, np.random.default_rng(select_seed))
+        assert fast == naive

@@ -175,11 +175,17 @@ else:
         nodes = [make_node(i + 1) for i in range(population)]
         for node in nodes:
             node.attached = bool(layout.integers(0, 1000) >= detached_permille)
-        excluded = [n for n in nodes if layout.integers(0, 8) == 0]
 
         service = MembershipService(np.random.default_rng(seed))
         for node in nodes:
             service.register(node)
+        # Swap-pop removals reorder the registry, and ``exclude`` may name
+        # members that are no longer registered.
+        for node in nodes:
+            if layout.integers(0, 6) == 0:
+                service.unregister(node)
+        excluded = [n for n in nodes if layout.integers(0, 8) == 0]
+        registry = list(service._nodes)
         reference_rng = np.random.default_rng(seed)
         if pending_half:
             # One earlier 32-bit draw leaves half a raw output buffered.
@@ -188,7 +194,11 @@ else:
         for _ in range(2):
             got = service.sample(k, exclude=excluded, attached_only=attached_only)
             want = reference_sample(
-                nodes, reference_rng, k, exclude=excluded, attached_only=attached_only
+                registry,
+                reference_rng,
+                k,
+                exclude=excluded,
+                attached_only=attached_only,
             )
             assert [n.member_id for n in got] == [n.member_id for n in want]
             assert (

@@ -10,6 +10,7 @@ from repro.recovery.mlc import (
     PartialTreeView,
     group_loss_correlation,
     loss_correlation,
+    naive_view_from_members,
     root_path_ids,
     select_mlc_group,
     select_random_group,
@@ -84,6 +85,45 @@ class TestPartialTreeView:
     def test_empty_sample_rejected(self):
         with pytest.raises(RecoveryError):
             PartialTreeView.from_members([])
+
+    def test_root_excluded_leaves_root_only(self):
+        tree, nodes = build_two_subtrees()
+        known = [nodes[111], nodes[21]]
+        view = PartialTreeView.from_members(known, exclude=[0])
+        assert view.member_ids() == [0]
+        assert view.children_of(0) == []
+        assert naive_view_from_members(known, exclude=[0]).member_ids() == [0]
+
+    def test_member_listed_twice(self):
+        tree, nodes = build_two_subtrees()
+        known = [nodes[111], nodes[21], nodes[111]]
+        view = PartialTreeView.from_members(known)
+        assert view.member_ids() == [0, 1, 11, 111, 2, 21]
+        assert view.children_of(11) == [111]
+        assert view.member_ids() == naive_view_from_members(known).member_ids()
+
+    def test_ancestor_listed_after_descendant(self):
+        tree, nodes = build_two_subtrees()
+        known = [nodes[111], nodes[12], nodes[1], nodes[11]]
+        view = PartialTreeView.from_members(known, exclude=[12])
+        assert view.member_ids() == [0, 1, 11, 111]
+        assert view.children_of(1) == [11]
+        naive = naive_view_from_members(known, exclude=[12])
+        assert view.member_ids() == naive.member_ids()
+
+    def test_detached_member_rejected(self):
+        tree, nodes = build_two_subtrees()
+        tree.detach(nodes[11])  # 11 and 111 now form their own component
+        known = [nodes[21], nodes[111]]
+        with pytest.raises(RecoveryError) as fast:
+            PartialTreeView.from_members(known)
+        with pytest.raises(RecoveryError) as naive:
+            naive_view_from_members(known)
+        assert str(fast.value) == str(naive.value)
+        assert str(fast.value) == "path starts at 11, expected root 0"
+        # A component whose top is excluded is skipped, not rejected.
+        view = PartialTreeView.from_members(known, exclude=[11])
+        assert view.member_ids() == [0, 2, 21]
 
     def test_unknown_member_queries_rejected(self):
         tree, nodes = build_two_subtrees()

@@ -33,7 +33,16 @@ def assert_equivalent(vectorised, simulated):
     assert vectorised.missed_packets == simulated.missed_packets
     assert vectorised.starving_s == pytest.approx(simulated.starving_s)
     assert vectorised.coverage == pytest.approx(simulated.coverage)
-    assert vectorised.repair_end_s == pytest.approx(simulated.repair_end_s, abs=1e-6)
+    # The packet simulator reaches each arrival time through chained
+    # ``1 / rate`` steps: at most ``gap`` additions, each rounding by up
+    # to 2**-53 of the running time.  The closed form rounds
+    # ``start + order / rate`` twice.  So the models may drift apart by
+    # about (gap + 2) * 2**-53 <= (gap + 1) * 2**-52 relative, which only
+    # exceeds abs=1e-6 past about 1e7 s.
+    rel = (simulated.gap_packets + 1) * 2.0**-52
+    assert vectorised.repair_end_s == pytest.approx(
+        simulated.repair_end_s, rel=rel, abs=1e-6
+    )
 
 
 class TestEquivalence:
@@ -81,14 +90,11 @@ def test_models_agree_on_random_episodes(rates, dead, gap, buffer_s, detect, hop
     assert_equivalent(vectorised, simulated)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: a near-zero source rate pushes repair_end_s to "
-    "~5.3e9 s, where the two models differ by 2 ulps (1.9e-6 s), past the "
-    "abs=1e-6 tolerance of assert_equivalent",
-)
 def test_models_agree_at_near_zero_source_rate():
-    """The falsifying example hypothesis finds for the property above."""
+    """A near-zero source rate pushes repair_end_s to ~5.3e9 s, where the
+    two models differ by 2 ulps (1.9e-6 s): inside the relative bound,
+    past the absolute one.  Hypothesis finds this example for the
+    property above only occasionally, so it is replayed on every run."""
     rates = [3.2080169462735535e-09]
     dead = [True, False, False, False, False]
     sources = [

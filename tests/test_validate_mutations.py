@@ -182,6 +182,22 @@ def test_group_correlation_off_by_one_caught_by_kernel_oracle(monkeypatch):
     _assert_structured_failure(outcome.to_payload())
 
 
+def test_view_builder_ignoring_exclude_caught_by_kernel_oracle(monkeypatch):
+    """Bug: the one-pass view builder keeps excluded subtrees in the view."""
+    from repro.recovery import mlc
+
+    original = mlc.PartialTreeView.from_members.__func__
+    monkeypatch.setattr(
+        mlc.PartialTreeView,
+        "from_members",
+        classmethod(lambda cls, known, exclude=(): original(cls, known)),
+    )
+    outcome = run_oracle("mlc_kernels", seed=0)
+    assert not outcome.equal
+    assert any("from_members" in d["path"] for d in outcome.differences)
+    _assert_structured_failure(outcome.to_payload())
+
+
 def test_batch_delay_bias_caught_by_delay_oracle(monkeypatch):
     """Bug: the batch delay path gains a tiny constant bias."""
     from repro.topology import routing
