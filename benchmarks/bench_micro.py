@@ -1,9 +1,9 @@
 """Micro-benchmarks of the library's hot paths.
 
 These time the primitives the figure experiments spend their cycles in:
-member sampling, delay-oracle queries, tree restructures, recovery-view
-construction, MLC group selection and loss correlation, and the
-packet-level episode pricing.
+member sampling, delay-oracle queries, tree restructures, the join rule,
+ROST's switch check, recovery-view construction, MLC group selection and
+loss correlation, and the packet-level episode pricing.
 The sampling, ``delays_from`` and group-correlation cases run at the
 sizes the simulation issues, where scalar code beats a numpy call, plus
 a longer list or query, so the per-call costs docs/performance.md quotes
@@ -13,10 +13,13 @@ can be re-measured.
 import numpy as np
 import pytest
 
-from repro.config import TopologyConfig
+from repro.config import ProtocolConfig, TopologyConfig
 from repro.overlay.membership import MembershipService
 from repro.overlay.node import OverlayNode
 from repro.overlay.tree import MulticastTree
+from repro.protocols.base import ProtocolContext
+from repro.protocols.minimum_depth import MinimumDepthProtocol
+from repro.protocols.rost import RostProtocol
 from repro.recovery.episode import RepairSource, starvation_episode
 from repro.recovery.mlc import (
     PartialTreeView,
@@ -121,6 +124,68 @@ def test_tree_attach_detach_cycle(benchmark):
 
     benchmark(churn_cycle)
     tree.check_invariants()
+
+
+def _protocol_context(topo, oracle, root_cap):
+    """A protocol context over an empty tree whose root has ``root_cap``
+    child slots; every member added through ``add`` is registered for
+    sampling and gets an underlay stub node round-robin."""
+    sim = Simulator()
+    stubs = list(topo.stub_nodes)
+    root = OverlayNode(0, stubs[0], float(root_cap), root_cap, 0.0, is_root=True)
+    tree = MulticastTree(root)
+    membership = MembershipService(np.random.default_rng(6))
+    membership.register(root)
+    ctx = ProtocolContext(
+        sim=sim,
+        tree=tree,
+        membership=membership,
+        oracle=oracle,
+        config=ProtocolConfig(),
+        stream_rate=1.0,
+        rng=np.random.default_rng(7),
+    )
+
+    def add(parent, bandwidth, cap, join_time=0.0):
+        member_id = len(tree.members)
+        node = OverlayNode(
+            member_id, stubs[member_id % len(stubs)], bandwidth, cap, join_time
+        )
+        tree.add_member(node)
+        membership.register(node)
+        tree.attach(node, parent)
+        return node
+
+    return ctx, add
+
+
+def test_select_min_depth(benchmark, topo_oracle):
+    """One join decision over 100 candidates on layers 1-3: layer 1 is
+    full, six layer-2 members have a spare slot, layer 3 is all leaves."""
+    ctx, add = _protocol_context(*topo_oracle, root_cap=4)
+    layer1 = [add(ctx.tree.root, 6.0, 6) for _ in range(4)]
+    layer2 = [add(layer1[i % 4], 4.0, 4 if i < 18 else 2) for i in range(24)]
+    layer3 = [add(layer2[i // 4], 2.0, 2) for i in range(72)]
+    candidates = layer1 + layer2 + layer3
+    np.random.default_rng(8).shuffle(candidates)
+    joiner = OverlayNode(999, topo_oracle[0].stub_nodes[1], 2.0, 2, 0.0)
+    proto = MinimumDepthProtocol(ctx)
+    parent = benchmark(lambda: proto.select_min_depth(joiner, candidates))
+    assert parent.layer == 2 and parent.spare_degree > 0
+
+
+def test_rost_switch_check(benchmark, topo_oracle):
+    """One ROST switch decision whose grandparent (the root) has 100
+    children and a spare slot, so the promotion test values every uncle
+    through the referees."""
+    ctx, add = _protocol_context(*topo_oracle, root_cap=101)
+    proto = RostProtocol(ctx)
+    uncles = [add(ctx.tree.root, 2.0, 2, join_time=-float(i)) for i in range(100)]
+    node = add(uncles[0], 3.0, 3, join_time=-50.0)
+    for member in uncles + [node]:
+        proto.referees.register(member, 0.0)
+    ctx.sim.run_until(100.0)
+    assert benchmark(lambda: proto._switch_action(node)) in ("swap", "promote")
 
 
 def test_partial_view_from_members(benchmark):

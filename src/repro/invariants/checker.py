@@ -107,7 +107,7 @@ class InvariantChecker:
         if (
             protocol is not None
             and hasattr(protocol, "lock_hold_s")
-            and hasattr(protocol, "_values_of")
+            and hasattr(protocol, "_values")
         ):
             self._lock_hold_s = float(protocol.lock_hold_s)
             self._wrap_tree_switches(protocol)
@@ -162,8 +162,11 @@ class InvariantChecker:
             self._check_lock_windows(involved, now, operation="switch")
             result = orig_swap(child, overflow_priority)
             if parent is not None:
-                _, child_btp = protocol._values_of(child)
-                _, parent_btp = protocol._values_of(parent)
+                # An unpriced read: checking a run must not add to its
+                # message counts.
+                (_, child_btp), (_, parent_btp) = protocol._values(
+                    (child, parent), account=False
+                )
                 if child_btp < parent_btp - _EPS:
                     self._record(
                         "rost-switch-btp-order",

@@ -77,6 +77,7 @@ class MembershipService:
         # Fast path: sample indices and filter; fall back to a full filtered
         # pass when the eligible fraction is too small for rejection sampling.
         if k * 3 < population:
+            integers = self._rng.integers
             picked: List[OverlayNode] = []
             seen: Set[int] = set()
             attempts = 0
@@ -85,9 +86,17 @@ class MembershipService:
                 # Each draw picks at most one member, so the loop is certain
                 # to make ``m`` more draws; one vector call consumes the
                 # generator exactly as ``m`` scalar ``integers`` calls would.
+                # The array round trip dominates a one- or two-element
+                # draw (referee picks), so those draw scalars.
                 m = min(k - len(picked), max_attempts - attempts)
                 attempts += m
-                for idx in self._rng.integers(0, population, size=m).tolist():
+                if m == 1:
+                    indices = (integers(0, population),)
+                elif m == 2:
+                    indices = (integers(0, population), integers(0, population))
+                else:
+                    indices = integers(0, population, size=m).tolist()
+                for idx in indices:
                     node = nodes[idx]
                     member_id = node.member_id
                     if member_id in seen:

@@ -334,15 +334,20 @@ class MulticastTree:
             raise TreeError(f"member {node.member_id} is not in this tree")
 
     def _mark_attached(self, subtree_root: OverlayNode, layer: int) -> None:
-        queue = deque([(subtree_root, layer)])
-        while queue:
-            node, node_layer = queue.popleft()
-            node.attached = True
-            node.ever_attached = True
-            node.layer = node_layer
-            self._attached_count += 1
-            self._notify_position(node)
-            queue.extend((c, node_layer + 1) for c in node.children)
+        # Level by level: position listeners see the nodes in BFS order,
+        # and each level's layer is one counter.
+        level = [subtree_root]
+        while level:
+            below: List[OverlayNode] = []
+            for node in level:
+                node.attached = True
+                node.ever_attached = True
+                node.layer = layer
+                self._attached_count += 1
+                self._notify_position(node)
+                below += node.children
+            level = below
+            layer += 1
 
     def _mark_detached(self, subtree_root: OverlayNode) -> None:
         queue = deque([subtree_root])

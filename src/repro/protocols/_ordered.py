@@ -111,12 +111,12 @@ class RelaxedOrderedProtocol(TreeProtocol):
         heap = self._layer_heaps.get(layer)
         if heap:
             size = len(heap)
+            integers = self.ctx.rng.integers
+            alive = self._entry_alive
+            priority = self.eviction_priority
             for _ in range(min(probes, size)):
-                _, _, node, entry_layer = heap[int(self.ctx.rng.integers(0, size))]
-                if (
-                    self._entry_alive(node, entry_layer)
-                    and self.eviction_priority(node) > my_priority
-                ):
+                _, _, node, entry_layer = heap[int(integers(0, size))]
+                if alive(node, entry_layer) and priority(node) > my_priority:
                     return node
         worst = self._peek_worst_in_layer(layer)
         if worst is not None and self.eviction_priority(worst) > my_priority:
@@ -183,12 +183,14 @@ class RelaxedOrderedProtocol(TreeProtocol):
 
     def _find_eviction_target(self, node: OverlayNode) -> Optional[OverlayNode]:
         """Scan layers top-down for the first node worse than ``node``."""
-        my_priority = self.eviction_priority(node)
+        priority = self.eviction_priority
+        peek_worst = self._peek_worst_in_layer
+        my_priority = priority(node)
         for layer in range(1, self._max_layer + 1):
-            worst = self._peek_worst_in_layer(layer)
+            worst = peek_worst(layer)
             if worst is None or worst is node:
                 continue
-            if self.eviction_priority(worst) > my_priority:
+            if priority(worst) > my_priority:
                 if self.evict_first_found:
                     found = self._first_found_in_layer(layer, my_priority)
                     if found is not None and found is not node:

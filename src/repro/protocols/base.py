@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -164,18 +165,23 @@ class TreeProtocol(abc.ABC):
         among the tied candidates (batched through the oracle).  Delay
         lookups are pure, so skipping them for non-minimal layers changes
         nothing; first-occurrence tie-breaking matches the original
-        strict-less scan.
+        strict-less scan.  A candidate deeper than the best layer so far
+        can neither win nor tie, so it is skipped before its capacity is
+        read; :func:`naive_select_min_depth` is the full scan this must
+        agree with.
         """
         tied: List[OverlayNode] = []
-        best_layer = None
+        best_layer = math.inf
         for candidate in candidates:
+            layer = candidate.layer
+            if layer > best_layer:
+                continue
             if candidate.spare_degree <= 0 or not candidate.attached:
                 continue
-            layer = candidate.layer
-            if best_layer is None or layer < best_layer:
+            if layer < best_layer:
                 best_layer = layer
                 tied = [candidate]
-            elif layer == best_layer:
+            else:
                 tied.append(candidate)
         if not tied:
             return None
@@ -184,9 +190,33 @@ class TreeProtocol(abc.ABC):
         delays = self.ctx.oracle.delays_from(
             node.underlay_node, [c.underlay_node for c in tied]
         )
-        return tied[int(np.argmin(delays))]
+        return tied[int(delays.argmin())]
 
     def attach(self, node: OverlayNode, parent: OverlayNode) -> None:
         """Perform the attachment and account the ACCEPT message."""
         self.ctx.tree.attach(node, parent)
         self.ctx.messages.record(MessageType.ACCEPT)
+
+
+def naive_select_min_depth(
+    oracle: DelayOracle, node: OverlayNode, candidates: Iterable[OverlayNode]
+) -> Optional[OverlayNode]:
+    """Reference for :meth:`TreeProtocol.select_min_depth`: the scan that
+    reads every candidate's capacity before comparing layers."""
+    tied: List[OverlayNode] = []
+    best_layer = None
+    for candidate in candidates:
+        if candidate.spare_degree <= 0 or not candidate.attached:
+            continue
+        layer = candidate.layer
+        if best_layer is None or layer < best_layer:
+            best_layer = layer
+            tied = [candidate]
+        elif layer == best_layer:
+            tied.append(candidate)
+    if not tied:
+        return None
+    if len(tied) == 1:
+        return tied[0]
+    delays = oracle.delays_from(node.underlay_node, [c.underlay_node for c in tied])
+    return tied[int(np.argmin(delays))]

@@ -19,7 +19,8 @@ Implements Section 3.3's three operations:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...overlay.messages import MessageType
 from ...overlay.node import OverlayNode
@@ -127,23 +128,34 @@ class RostProtocol(TreeProtocol):
     def _start_switching(self, node: OverlayNode) -> None:
         interval = self.ctx.config.switch_interval_s
         process = PeriodicProcess(
-            self.ctx.sim, interval, lambda: self._switch_check(node)
+            self.ctx.sim, interval, functools.partial(self._switch_check, node)
         )
-        # Random phase so member checks are decorrelated.
-        process.start(initial_delay=float(self.ctx.rng.uniform(0.0, interval)))
+        # Random phase so member checks are decorrelated.  numpy computes
+        # ``uniform(0.0, interval)`` as ``0.0 + interval * random()``: the
+        # same double from the same generator step.
+        process.start(initial_delay=interval * self.ctx.rng.random())
         self._switch_processes[node.member_id] = process
 
-    def _values_of(self, node: OverlayNode) -> tuple:
-        """(bandwidth, btp) used for switch decisions — referee-verified
-        when the mechanism is on, otherwise whatever the node claims."""
+    def _values(
+        self, members: Sequence[OverlayNode], account: bool = True
+    ) -> List[Tuple[float, float]]:
+        """(bandwidth, btp) per non-root member, used for switch decisions —
+        referee-verified when the mechanism is on, otherwise whatever the
+        members claim.
+
+        The referee queries are priced (one query and one reply per
+        member) unless ``account`` is False, which the invariant checker
+        uses so that observing a run never changes its message counts.
+        """
         now = self.ctx.sim.now
-        if node.is_root:
-            return node.bandwidth, float("inf")
-        if self.referees is not None:
-            bandwidth, join_time = self.referees.verified(node)
+        referees = self.referees
+        if referees is None:
+            claims = [(m.claimed_bandwidth, m.claimed_join_time) for m in members]
+        elif account:
+            claims = referees.verified_many(members)
         else:
-            bandwidth, join_time = node.claimed_bandwidth, node.claimed_join_time
-        return bandwidth, bandwidth * (now - join_time)
+            claims = referees.lookup(members)
+        return [(bw, bw * (now - join_time)) for bw, join_time in claims]
 
     def _switch_action(self, node: OverlayNode) -> str:
         """Decide what ``node`` should do this round.
@@ -159,8 +171,9 @@ class RostProtocol(TreeProtocol):
             return "none"
         self.ctx.messages.record(MessageType.BTP_QUERY)
         self.ctx.messages.record(MessageType.BTP_REPLY)
-        my_bandwidth, my_btp = self._values_of(node)
-        parent_bandwidth, parent_btp = self._values_of(parent)
+        (my_bandwidth, my_btp), (parent_bandwidth, parent_btp) = self._values(
+            (node, parent)
+        )
         if self.promote_into_spare and parent.parent.spare_degree > 0:
             if self._may_promote(node, my_bandwidth, my_btp):
                 return "promote"
@@ -192,8 +205,7 @@ class RostProtocol(TreeProtocol):
         grandparent = node.parent.parent
         weakest_btp = float("inf")
         weakest_bandwidth = float("inf")
-        for uncle in grandparent.children:
-            bandwidth, btp = self._values_of(uncle)
+        for bandwidth, btp in self._values(grandparent.children):
             if btp < weakest_btp:
                 weakest_btp = btp
                 weakest_bandwidth = bandwidth

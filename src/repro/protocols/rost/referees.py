@@ -26,7 +26,7 @@ ablates the mechanism so its effect on cheaters can be measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...errors import ProtocolError
 from ...overlay.messages import MessageType
@@ -111,18 +111,35 @@ class RefereeService:
 
     # -- verification -----------------------------------------------------------------
 
-    def verified(self, node: OverlayNode) -> Tuple[float, float]:
-        """(bandwidth, join_time) as vouched for by the member's referees.
+    def lookup(self, nodes: Sequence[OverlayNode]) -> List[Tuple[float, float]]:
+        """(bandwidth, join_time) per member, as its referees recorded it.
 
-        Falls back to the member's own claims only if the record was lost
-        (every referee failed before replacement — tracked for reporting).
+        A pure read that sends no messages.  Falls back to a member's own
+        claims only if its record was lost (every referee failed before
+        replacement — tracked for reporting).
         """
-        record = self._records.get(node.member_id)
-        self.ctx.messages.record(MessageType.REFEREE_QUERY)
-        self.ctx.messages.record(MessageType.REFEREE_REPLY)
-        if record is None:
-            return node.claimed_bandwidth, node.claimed_join_time
-        return record.measured_bandwidth, record.recorded_join_time
+        records = self._records
+        values = []
+        for node in nodes:
+            record = records.get(node.member_id)
+            if record is None:
+                values.append((node.claimed_bandwidth, node.claimed_join_time))
+            else:
+                values.append((record.measured_bandwidth, record.recorded_join_time))
+        return values
+
+    def verified_many(self, nodes: Sequence[OverlayNode]) -> List[Tuple[float, float]]:
+        """:meth:`lookup`, priced as one REFEREE_QUERY and one REFEREE_REPLY
+        per member; each type is recorded once for the whole batch."""
+        values = self.lookup(nodes)
+        messages = self.ctx.messages
+        messages.record(MessageType.REFEREE_QUERY, len(values))
+        messages.record(MessageType.REFEREE_REPLY, len(values))
+        return values
+
+    def verified(self, node: OverlayNode) -> Tuple[float, float]:
+        """(bandwidth, join_time) as vouched for by the member's referees."""
+        return self.verified_many((node,))[0]
 
     def verified_btp(self, node: OverlayNode, now: float) -> float:
         """Referee-verified Bandwidth-Time Product."""

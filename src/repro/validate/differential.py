@@ -16,6 +16,10 @@ Oracles (see :data:`ORACLES`):
     epoch-cached root-path and loss-correlation kernels, and the one-pass
     partial-view builder, against their naive references over the
     surviving tree.
+``join_selection``
+    The join selectors, which skip candidates that cannot win before
+    reading their capacity, vs full-scan references; ROST's batched
+    referee valuation vs one lookup per member.
 ``delay_oracle``
     Scalar :meth:`DelayOracle.delay_ms` vs the batch
     :meth:`DelayOracle.delays_from`; the contract is *bit*-identical
@@ -238,6 +242,114 @@ def run_mlc_kernel_differential(
     )
 
 
+def run_join_selection_differential(seed: int = 0) -> OracleOutcome:
+    """Pruned join selectors vs full scans; batched vs per-member ROST
+    valuation.
+
+    Replays a small ROST churn run and, at every join, hands the join's
+    candidate list to ``select_min_depth`` and to longest-first's
+    ``_select_oldest`` and to their full-scan references (all four are
+    pure, so the run itself is unchanged).  Then it draws random
+    candidate lists from every member of the final tree (the root,
+    attached, full and detached members, with repeats) for random
+    joiners.  Members share underlay nodes, so the delay tie-break meets
+    equal delays.  Finally it values random member batches through one
+    referee lookup and through one lookup per member, and compares the
+    values and the messages each records.
+    """
+    from ..protocols import PROTOCOLS
+    from ..protocols.base import naive_select_min_depth
+    from ..protocols.longest_first import LongestFirstProtocol, naive_select_oldest
+    from ..simulation.churn import ChurnSimulation
+
+    sim = ChurnSimulation(_tiny_config(seed + 200), PROTOCOLS["rost"])
+    rost = sim.protocol
+    longest_first = LongestFirstProtocol(sim.ctx)
+    oracle = sim.ctx.oracle
+    select_min_depth = rost.select_min_depth
+    differences: List[Dict[str, str]] = []
+    comparisons = 0
+
+    def compare(where: str, joiner, candidates):
+        nonlocal comparisons
+        picked = select_min_depth(joiner, candidates)
+        for name, fast, slow in (
+            (
+                "select_min_depth",
+                picked,
+                naive_select_min_depth(oracle, joiner, candidates),
+            ),
+            (
+                "select_oldest",
+                longest_first._select_oldest(joiner, candidates),
+                naive_select_oldest(oracle, joiner, candidates),
+            ),
+        ):
+            comparisons += 1
+            if fast is not slow:
+                differences.append(
+                    {
+                        "path": f"{name}[{where}]",
+                        "detail": f"picked member "
+                        f"{None if fast is None else fast.member_id} != full "
+                        f"scan {None if slow is None else slow.member_id} "
+                        f"({len(candidates)} candidates, joiner "
+                        f"{joiner.member_id})",
+                    }
+                )
+        return picked
+
+    def checked_select(joiner, candidates):
+        return compare(f"join at t={sim.sim.now:.3f}", joiner, list(candidates))
+
+    rost.select_min_depth = checked_select
+    sim.run()
+
+    members = list(sim.tree.members.values())
+    rng = np.random.default_rng(seed)
+    for trial in range(32):
+        size = int(rng.integers(1, 2 * len(members)))
+        candidates = [members[int(i)] for i in rng.integers(0, len(members), size)]
+        joiner = members[int(rng.integers(0, len(members)))]
+        compare(f"trial {trial}", joiner, candidates)
+
+    messages = sim.ctx.messages
+    valued = [m for m in members if not m.is_root]
+    for trial in range(16):
+        size = int(rng.integers(1, len(valued) + 1))
+        batch = [valued[int(i)] for i in rng.integers(0, len(valued), size)]
+        before = messages.to_payload()
+        batched = rost._values(batch)
+        after_batched = messages.to_payload()
+        per_member = [rost._values((m,))[0] for m in batch]
+        comparisons += 1
+        if batched != per_member:
+            differences.append(
+                {
+                    "path": f"rost_values[trial {trial}]",
+                    "detail": f"batched {batched} != per-member {per_member}",
+                }
+            )
+        sent = {k: v - before.get(k, 0) for k, v in after_batched.items()}
+        sent_per_member = {
+            k: v - after_batched.get(k, 0) for k, v in messages.to_payload().items()
+        }
+        if sent != sent_per_member:
+            differences.append(
+                {
+                    "path": f"rost_values.messages[trial {trial}]",
+                    "detail": f"batched sent {sent} != per-member "
+                    f"{sent_per_member}",
+                }
+            )
+    return OracleOutcome(
+        oracle="join_selection",
+        equal=not differences,
+        differences=differences,
+        meta={"seed": seed, "members": len(members), "comparisons": comparisons},
+    )
+
+
 def run_delay_oracle_differential(seed: int = 0) -> OracleOutcome:
     """Scalar vs batch delay queries: must be bit-identical doubles."""
     from ..topology.routing import DelayOracle
@@ -451,6 +563,7 @@ def run_obs_differential(seed: int = 0) -> OracleOutcome:
 #: tests register throwaway oracles to exercise the CLI.
 ORACLES: Dict[str, Callable[[int], OracleOutcome]] = {
     "mlc_kernels": run_mlc_kernel_differential,
+    "join_selection": run_join_selection_differential,
     "delay_oracle": run_delay_oracle_differential,
     "episode_pricing": run_episode_pricing_differential,
     "jobs": run_jobs_differential,

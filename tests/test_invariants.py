@@ -8,6 +8,7 @@ invariants that can be exercised by corrupting a tree directly.
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -181,6 +182,22 @@ def test_clean_churn_run_has_zero_violations():
     assert checker.violations == []
     assert checker.sweeps > 0
     assert checker.events_seen > 0
+
+
+def test_checking_a_rost_run_leaves_its_result_unchanged():
+    """The checker values switches through an unpriced read, so a checked
+    run reports the same messages (and everything else) as an unchecked
+    one."""
+    cfg = small_sim_config(population=100, seed=12)
+    cfg = dataclasses.replace(
+        cfg, workload=dataclasses.replace(cfg.workload, root_bandwidth=10.0)
+    )
+    plain = ChurnSimulation(cfg, PROTOCOLS["rost"]).run()
+    checker = InvariantChecker(strict=False)
+    checked = ChurnSimulation(cfg, PROTOCOLS["rost"], check_invariants=checker).run()
+    assert plain.extras["switches"] > 0
+    assert checker.violations == []
+    assert checked.to_payload() == plain.to_payload()
 
 
 def test_check_invariants_true_attaches_strict_checker():

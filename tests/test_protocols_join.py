@@ -81,3 +81,71 @@ class TestLongestFirst:
         assert proto.place(a, rejoin=False)
         b = harness.new_member(bandwidth=0.5, cap=0)
         assert not proto.place(b, rejoin=False)
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is an optional test dependency
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_selectors_match_full_scans():
+        pass
+
+else:
+    #: (out-degree cap, join time, underlay index, fate) per member.  Few
+    #: join times and underlay nodes, so layer, age and delay ties are
+    #: common (members on one underlay node are equally far from any
+    #: joiner); the root sits on underlay index 0 and joined at 0.0.
+    _MEMBERS = st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from((0.0, 5.0, 10.0)),
+            st.integers(0, 3),
+            st.sampled_from(("attach", "detached", "attach-then-detach")),
+        ),
+        max_size=14,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        root_cap=st.integers(0, 3),
+        members=_MEMBERS,
+        joiner_underlay=st.integers(0, 3),
+    )
+    def test_selectors_match_full_scans(
+        tiny_topology, tiny_oracle, data, root_cap, members, joiner_underlay
+    ):
+        """The pruned selectors pick the very member the full scans pick."""
+        from repro.protocols.base import naive_select_min_depth
+        from repro.protocols.longest_first import naive_select_oldest
+
+        harness = Harness(tiny_topology, tiny_oracle, root_cap=root_cap)
+        tree = harness.tree
+        nodes = [tree.root]
+        for cap, join_time, underlay, fate in members:
+            node = harness.new_member(
+                bandwidth=float(cap), cap=cap, join_time=join_time,
+                underlay_index=underlay,
+            )
+            nodes.append(node)
+            if fate == "detached":
+                continue
+            parents = [n for n in tree.attached_nodes() if n.spare_degree > 0]
+            if not parents:
+                continue
+            tree.attach(node, data.draw(st.sampled_from(parents), label="parent"))
+            if fate == "attach-then-detach":
+                tree.detach(node)
+        # Repeats allowed: a view may list a member twice.
+        candidates = data.draw(st.lists(st.sampled_from(nodes), max_size=24))
+        joiner = harness.new_member(underlay_index=joiner_underlay)
+
+        min_depth = MinimumDepthProtocol(harness.ctx)
+        assert min_depth.select_min_depth(joiner, candidates) is (
+            naive_select_min_depth(harness.oracle, joiner, candidates)
+        )
+        longest_first = LongestFirstProtocol(harness.ctx)
+        assert longest_first._select_oldest(joiner, candidates) is (
+            naive_select_oldest(harness.oracle, joiner, candidates)
+        )

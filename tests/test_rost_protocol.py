@@ -1,5 +1,6 @@
 """ROST switching, promotion, succession and guards."""
 
+import numpy as np
 import pytest
 
 from repro.config import ProtocolConfig
@@ -195,3 +196,24 @@ class TestLifecycle:
         harness.tree.detach(a)
         assert proto.place(a, rejoin=True)
         assert len([p for p in proto._switch_processes if p == a.member_id]) == 1
+
+
+def test_switching_phase_draw_matches_uniform(harness):
+    """``interval * random()`` is the double ``uniform(0.0, interval)``
+    returns, from the same generator step."""
+    proto = RostProtocol(harness.ctx)
+    interval = harness.ctx.config.switch_interval_s
+    reference = np.random.default_rng()
+    reference.bit_generator.state = harness.ctx.rng.bit_generator.state
+    harness.sim.run_until(37.5)
+    for _ in range(64):
+        node = harness.new_member(bandwidth=2.0)
+        proto._start_switching(node)
+        phase = float(reference.uniform(0.0, interval))
+        assert proto._switch_processes[node.member_id]._epoch == 37.5 + phase
+        assert harness.ctx.rng.bit_generator.state == reference.bit_generator.state
+    for interval in (0.1, 1.0, 30.0, 1e9):
+        for _ in range(256):
+            expected = float(reference.uniform(0.0, interval))
+            assert interval * harness.ctx.rng.random() == expected
+        assert harness.ctx.rng.bit_generator.state == reference.bit_generator.state

@@ -220,3 +220,29 @@ class TestCheaterEndToEnd:
         # claims accepted at face value: the cheater displaces its parent
         assert cheater.parent is harness.tree.root
         assert honest.parent is cheater
+
+
+def test_batched_lookup_equals_per_member_verification(harness, service):
+    attach_members(harness, 6)
+    nodes = [
+        harness.new_member(bandwidth=1.0 + i, join_time=float(i)) for i in range(5)
+    ]
+    for node in nodes[:4]:
+        service.register(node, now=0.0)
+    # A member without a record (never registered) falls back to its claims.
+    nodes[4].claimed_bandwidth = 42.0
+    batch = nodes + [nodes[0], harness.tree.root]
+    messages = harness.ctx.messages
+    before = dict(messages.counts)
+    per_member = [service.verified(n) for n in batch]
+    singles = {t: messages.counts[t] - before.get(t, 0) for t in messages.counts}
+    before = dict(messages.counts)
+    assert service.verified_many(batch) == per_member
+    batched = {t: messages.counts[t] - before.get(t, 0) for t in messages.counts}
+    assert batched == singles
+    assert sum(batched.values()) == 2 * len(batch)
+    assert per_member[4] == (42.0, nodes[4].claimed_join_time)
+    # The unpriced read the invariant checker uses sends nothing.
+    total = messages.total
+    assert service.lookup(batch) == per_member
+    assert messages.total == total

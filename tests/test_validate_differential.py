@@ -21,6 +21,11 @@ class TestKernelOracles:
         assert outcome.meta["members"] > 1
         assert outcome.meta["faults"] >= 1
 
+    def test_join_selectors_and_valuations_agree(self):
+        outcome = run_oracle("join_selection", seed=0)
+        _assert_clean(outcome)
+        assert outcome.meta["members"] > 1
+
     def test_delay_oracle_scalar_vs_batch(self):
         _assert_clean(run_oracle("delay_oracle", seed=0))
 
@@ -66,6 +71,7 @@ class TestRegistry:
     def test_all_advertised_oracles_are_callable(self):
         assert set(ORACLES) == {
             "mlc_kernels",
+            "join_selection",
             "delay_oracle",
             "episode_pricing",
             "jobs",

@@ -246,3 +246,26 @@ def test_corrupted_replay_caught_by_resume_oracle(monkeypatch):
     outcome = run_oracle("resume", seed=0)
     assert not outcome.equal
     _assert_structured_failure(outcome.to_payload())
+
+
+def test_selector_dropping_later_ties_caught_by_join_oracle(monkeypatch):
+    """Bug: the min-depth pre-filter skips equal layers too (``>=``), so
+    only the first candidate of the best layer survives and the delay
+    tie-break never runs."""
+    from repro.protocols import base
+
+    def first_of_best_layer(self, node, candidates):
+        best = None
+        for candidate in candidates:
+            if best is not None and candidate.layer >= best.layer:
+                continue
+            if candidate.spare_degree <= 0 or not candidate.attached:
+                continue
+            best = candidate
+        return best
+
+    monkeypatch.setattr(base.TreeProtocol, "select_min_depth", first_of_best_layer)
+    outcome = run_oracle("join_selection", seed=0)
+    assert not outcome.equal
+    assert all("select_min_depth" in d["path"] for d in outcome.differences)
+    _assert_structured_failure(outcome.to_payload())
