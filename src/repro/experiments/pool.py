@@ -24,9 +24,11 @@ traces are **byte-identical to a serial run at any** ``--jobs``.
 
 Robustness model:
 
-* ``jobs=1`` (or a single job) short-circuits to plain in-process
-  execution — no executor, no subprocesses — so ``pdb``, profilers and
-  coverage keep working and there is zero overhead for small runs.
+* ``jobs=1``, or a plan with at most one work item (one unit or one
+  whole job), short-circuits to plain in-process execution — no
+  executor, no subprocesses — so ``pdb``, profilers and coverage keep
+  working and there is zero overhead for small runs.  A single figure
+  whose plan holds several units still fans them out.
 * A unit or job whose worker crashes (``BrokenProcessPool``) or exceeds
   the per-job ``timeout_s`` is retried **once, in-process**; the retry
   is deterministic, so a flaky worker cannot change results.  A second
@@ -37,6 +39,9 @@ Robustness model:
   the duration of the run, so N workers pay for each distinct underlay
   once instead of N times — and nothing needs to pickle oracles across
   the process boundary.
+* Workers are forked wherever the platform can fork, whatever the
+  default start method: they must inherit state that exists only in the
+  parent's memory (see :meth:`ExperimentPool._run_parallel`).
 * Worker processes are capped at the machine's core count: the sims are
   CPU-bound, so extra processes only add contention.  ``--jobs`` remains
   the requested ceiling and has no effect on results.
@@ -47,6 +52,7 @@ Robustness model:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
 import tempfile
@@ -63,7 +69,6 @@ from ..store.runstore import (
     resume_enabled,
     store_env,
 )
-from ..topology import shm
 from ..topology.cache import ENV_CACHE_DIR
 from . import units as units_mod
 from .registry import ExperimentResult, run_experiment
@@ -133,24 +138,14 @@ def execute_job(job: ExperimentJob) -> ExperimentResult:
     return result
 
 
-def _worker_init(
-    cache_dir: Optional[str],
-    obs_flags: dict,
-    shm_session: Optional[str] = None,
-    store_flags: Optional[dict] = None,
-) -> None:
-    if cache_dir:
-        os.environ[ENV_CACHE_DIR] = cache_dir
-    if shm_session:
-        # Join the pool's shared-memory session: the topology cache will
-        # attach published artefacts zero-copy (see repro.topology.shm).
-        os.environ[shm.ENV_SHM_SESSION] = shm_session
+def _worker_init(cache_dir: str, obs_flags: dict, store_flags: dict) -> None:
+    os.environ[ENV_CACHE_DIR] = cache_dir
     # Re-export the observability and run-store flags explicitly: with
     # the fork start method they are inherited anyway, but spawn-based
     # platforms would otherwise silently drop tracing/checkpointing in
     # workers.
     apply_obs_env(obs_flags)
-    apply_store_env(store_flags or {})
+    apply_store_env(store_flags)
 
 
 class ExperimentPool:
@@ -164,16 +159,26 @@ class ExperimentPool:
         self.retried_jobs = 0
 
     def run(self, jobs: Sequence[ExperimentJob]) -> List[ExperimentResult]:
-        """Execute ``jobs``; results are returned in submission order."""
+        """Execute ``jobs``; results are returned in submission order.
+
+        Runs in-process when ``jobs == 1`` or when the plan holds at most
+        one work item (a distinct unit or a whole job); otherwise the
+        work items fan out over worker processes.
+        """
         jobs = list(jobs)
         if not jobs:
             return []
-        if self.jobs == 1 or len(jobs) == 1:
+        if self.jobs > 1:
             clock = stage_timer()
-            results = [execute_job(job) for job in jobs]
-            record_stage("pool.serial", clock())
-            return results
-        return self._run_parallel(jobs)
+            units_by_job, unique_units = self._plan_units(jobs)
+            record_stage("pool.plan", clock())
+            work_items = len(unique_units) + units_by_job.count(None)
+            if work_items > 1:
+                return self._run_parallel(jobs, units_by_job, unique_units, work_items)
+        clock = stage_timer()
+        results = [execute_job(job) for job in jobs]
+        record_stage("pool.serial", clock())
+        return results
 
     def _retry_in_process(self, job: ExperimentJob) -> ExperimentResult:
         """Retry a crashed or wedged job in the parent process.
@@ -234,107 +239,105 @@ class ExperimentPool:
                     unique_units.append(unit)
         return units_by_job, unique_units
 
-    def _run_parallel(self, jobs: List[ExperimentJob]) -> List[ExperimentResult]:
+    def _run_parallel(
+        self,
+        jobs: List[ExperimentJob],
+        units_by_job: List[Optional[list]],
+        unique_units: List[units_mod.SimulationUnit],
+        work_items: int,
+    ) -> List[ExperimentResult]:
         cache_dir = os.environ.get(ENV_CACHE_DIR) or None
         temp_cache = None
         if cache_dir is None:
             temp_cache = tempfile.mkdtemp(prefix="repro-topo-cache-")
             cache_dir = temp_cache
-        # Open a shared-memory session for the sweep: workers publish each
-        # distinct underlay once and everyone else attaches zero-copy.
-        # The parent owns the session and sweeps every segment in the
-        # finally below — including segments left by crashed workers (a
-        # retried job simply re-attaches; see repro.topology.shm).
-        shm_session = None
-        prior_session = os.environ.get(shm.ENV_SHM_SESSION)
-        if prior_session is None and shm.shm_available():
-            shm_session = shm.new_session_token()
-            os.environ[shm.ENV_SHM_SESSION] = shm_session
+        # Never oversubscribe the machine: the sims are CPU-bound, so
+        # workers beyond the core count only add contention and
+        # duplicated per-process cache state.  ``--jobs`` stays the
+        # requested ceiling (and the dedup plan is identical at any
+        # value); the executor just won't start more processes than can
+        # actually run.
+        worker_slots = min(self.jobs, work_items, max(1, os.cpu_count() or 1))
+        # Fork wherever the platform can, whatever its default (Python
+        # 3.14 makes forkserver the Linux default): workers must inherit
+        # what exists only in this process's memory — experiments
+        # registered at runtime and wrappers installed on module
+        # attributes, such as perfbench's tracer.  Spawn and forkserver
+        # workers re-import the package and lose both.
+        context = (
+            multiprocessing.get_context("fork")
+            if "fork" in multiprocessing.get_all_start_methods()
+            else None
+        )
+        executor = None
         try:
-            clock = stage_timer()
-            units_by_job, unique_units = self._plan_units(jobs)
-            record_stage("pool.plan", clock())
-            # Never oversubscribe the machine: the sims are CPU-bound, so
-            # workers beyond the core count only add contention and
-            # duplicated per-process cache state.  ``--jobs`` stays the
-            # requested ceiling (and the dedup plan is identical at any
-            # value); the executor just won't start more processes than
-            # can actually run.
-            worker_slots = min(
-                self.jobs,
-                max(len(jobs), len(unique_units)),
-                max(1, os.cpu_count() or 1),
-            )
             executor = ProcessPoolExecutor(
                 max_workers=worker_slots,
+                mp_context=context,
                 initializer=_worker_init,
-                initargs=(cache_dir, obs_env(), shm_session, store_env()),
+                initargs=(cache_dir, obs_env(), store_env()),
             )
-            try:
-                # Phase 2: execute each deduplicated simulation unit once,
-                # alongside the legacy whole jobs (they share the worker
-                # pool, so unit work and campaign work overlap freely).
-                clock = stage_timer()
-                unit_futures = [
-                    executor.submit(units_mod.run_unit_task, unit)
-                    for unit in unique_units
-                ]
-                job_futures = {
-                    i: executor.submit(execute_job, job)
-                    for i, job in enumerate(jobs)
-                    if units_by_job[i] is None
-                }
-                record_stage("pool.submit", clock())
-                clock = stage_timer()
-                for unit, future in zip(unique_units, unit_futures):
+            # Phase 2: execute each deduplicated simulation unit once,
+            # alongside the legacy whole jobs (they share the worker
+            # pool, so unit work and campaign work overlap freely).
+            clock = stage_timer()
+            unit_futures = [
+                executor.submit(units_mod.run_unit_task, unit)
+                for unit in unique_units
+            ]
+            job_futures = {
+                i: executor.submit(execute_job, job)
+                for i, job in enumerate(jobs)
+                if units_by_job[i] is None
+            }
+            record_stage("pool.submit", clock())
+            clock = stage_timer()
+            for unit, future in zip(unique_units, unit_futures):
+                try:
+                    payload = future.result(timeout=self.timeout_s)
+                except (BrokenExecutor, FutureTimeoutError, OSError):
+                    # Crashed or wedged worker: retry once, in-process.
+                    future.cancel()
+                    self.retried_jobs += 1
+                    payload = units_mod.run_unit_task(unit)
+                units_mod.seed_unit(unit, payload)
+            record_stage("pool.units", clock())
+            # Phase 3: gather legacy jobs in submission order and demux
+            # unit-backed figures in-process — every simulation they
+            # consume is now a cache hit, so extraction costs milliseconds
+            # and still flows through the execute_job chokepoint (obs
+            # capture + store recording).
+            clock = stage_timer()
+            results: List[ExperimentResult] = []
+            for i, job in enumerate(jobs):
+                if units_by_job[i] is None:
+                    future = job_futures[i]
                     try:
-                        payload = future.result(timeout=self.timeout_s)
+                        results.append(future.result(timeout=self.timeout_s))
                     except (BrokenExecutor, FutureTimeoutError, OSError):
-                        # Crashed or wedged worker: retry once, in-process.
                         future.cancel()
-                        self.retried_jobs += 1
-                        payload = units_mod.run_unit_task(unit)
-                    units_mod.seed_unit(unit, payload)
-                record_stage("pool.units", clock())
-                # Phase 3: gather legacy jobs in submission order and
-                # demux unit-backed figures in-process — every simulation
-                # they consume is now a cache hit, so extraction costs
-                # milliseconds and still flows through the execute_job
-                # chokepoint (obs capture + store recording).
-                clock = stage_timer()
-                results: List[ExperimentResult] = []
-                for i, job in enumerate(jobs):
-                    if units_by_job[i] is None:
-                        future = job_futures[i]
-                        try:
-                            results.append(future.result(timeout=self.timeout_s))
-                        except (BrokenExecutor, FutureTimeoutError, OSError):
-                            future.cancel()
-                            results.append(self._retry_in_process(job))
-                    else:
-                        # Demux with the workers' disk cache joined: a
-                        # figure that needs the topology itself (e.g. the
-                        # probe figures) loads the workers' precomputed
-                        # underlay instead of regenerating it.  Scoped to
-                        # the demux call so legacy retries (above) run
-                        # under the caller's own environment.
-                        prior = os.environ.get(ENV_CACHE_DIR)
-                        os.environ[ENV_CACHE_DIR] = cache_dir
-                        try:
-                            results.append(execute_job(job))
-                        finally:
-                            if prior is None:
-                                os.environ.pop(ENV_CACHE_DIR, None)
-                            else:
-                                os.environ[ENV_CACHE_DIR] = prior
-                record_stage("pool.gather", clock())
-                return results
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
+                        results.append(self._retry_in_process(job))
+                else:
+                    # Demux with the workers' disk cache joined: a figure
+                    # that needs the topology itself (e.g. the probe
+                    # figures) loads the workers' precomputed underlay
+                    # instead of regenerating it.  Scoped to the demux
+                    # call so legacy retries (above) run under the
+                    # caller's own environment.
+                    prior = os.environ.get(ENV_CACHE_DIR)
+                    os.environ[ENV_CACHE_DIR] = cache_dir
+                    try:
+                        results.append(execute_job(job))
+                    finally:
+                        if prior is None:
+                            os.environ.pop(ENV_CACHE_DIR, None)
+                        else:
+                            os.environ[ENV_CACHE_DIR] = prior
+            record_stage("pool.gather", clock())
+            return results
         finally:
-            if shm_session is not None:
-                shm.cleanup_session(shm_session)
-                os.environ.pop(shm.ENV_SHM_SESSION, None)
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
             if temp_cache is not None:
                 shutil.rmtree(temp_cache, ignore_errors=True)
 

@@ -14,8 +14,9 @@ content-addressed instead:
   graph, the hierarchy metadata and the oracle's distance matrices, so
   *other* processes — pool workers, repeat CLI invocations — load the
   matrices instead of recomputing or repickling oracles.  Enabled by
-  setting the ``REPRO_CACHE_DIR`` environment variable (the experiment
-  pool sets it automatically for its workers).
+  setting the ``REPRO_CACHE_DIR`` environment variable.  The experiment
+  pool sets it for its workers, and this is how they share underlays:
+  the first worker to need one builds and stores it, the others load it.
 
 Disk writes are atomic (write to a temp file, then ``os.replace``), so a
 killed run can never leave a truncated cache entry; a corrupt or
@@ -35,15 +36,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..config import TopologyConfig
-from . import shm
 from .graph import Graph
 from .routing import DelayOracle
 from .transit_stub import StubDomain, TransitStubTopology, generate_transit_stub
 
 #: Environment variable naming the on-disk cache directory (unset = no disk tier).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-#: Environment variable overriding the memory-tier capacity.
-ENV_CACHE_SLOTS = "REPRO_CACHE_MEM"
 #: Default number of (topology, oracle) pairs kept in memory.
 DEFAULT_MEMORY_SLOTS = 8
 #: Bumped whenever the on-disk layout changes; stale files are ignored.
@@ -101,11 +99,9 @@ class TopologyCache:
 
     def __init__(
         self,
-        memory_slots: Optional[int] = None,
+        memory_slots: int = DEFAULT_MEMORY_SLOTS,
         disk_dir: Optional[str] = None,
     ):
-        if memory_slots is None:
-            memory_slots = int(os.environ.get(ENV_CACHE_SLOTS, DEFAULT_MEMORY_SLOTS))
         self._memory_slots = max(1, memory_slots)
         #: Explicit directory; None means "follow REPRO_CACHE_DIR per call".
         self._disk_dir = disk_dir
@@ -113,7 +109,6 @@ class TopologyCache:
             OrderedDict()
         )
         self.memory_hits = 0
-        self.shm_hits = 0
         self.disk_hits = 0
         self.misses = 0
 
@@ -143,9 +138,8 @@ class TopologyCache:
     ) -> Tuple[TransitStubTopology, DelayOracle]:
         """The (topology, oracle) pair for ``config``, computed at most once.
 
-        Lookup order: memory LRU, then the shared-memory tier (zero-copy
-        attach, active only inside a pool session), then the disk tier,
-        then a full generate + precompute (which populates every tier).
+        Lookup order: memory LRU, then the disk tier, then a full
+        generate + precompute (which populates both tiers).
         """
         key = topology_cache_key(config)
         cached = self._memory.get(key)
@@ -154,61 +148,19 @@ class TopologyCache:
             self.memory_hits += 1
             return cached
 
-        pair = self._load_from_shm(key, config)
-        if pair is not None:
-            self.shm_hits += 1
+        pair = self._load_from_disk(key, config)
+        if pair is None:
+            self.misses += 1
+            topology = generate_transit_stub(config)
+            pair = (topology, DelayOracle(topology))
+            self._store_to_disk(key, pair)
         else:
-            pair = self._load_from_disk(key, config)
-            if pair is None:
-                self.misses += 1
-                topology = generate_transit_stub(config)
-                pair = (topology, DelayOracle(topology))
-                self._store_to_disk(key, pair)
-            else:
-                self.disk_hits += 1
-            # First process to materialise the artefact publishes it for
-            # the rest of the pool session (losing the race is fine — the
-            # winner's copy is identical, derived from the same key).
-            self._store_to_shm(key, pair)
+            self.disk_hits += 1
 
         self._memory[key] = pair
         while len(self._memory) > self._memory_slots:
             self._memory.popitem(last=False)
         return pair
-
-    # -- shared-memory tier ----------------------------------------------------
-
-    def _load_from_shm(
-        self, key: str, config: TopologyConfig
-    ) -> Optional[Tuple[TransitStubTopology, DelayOracle]]:
-        arrays = shm.attach(key)
-        if arrays is None:
-            return None
-        try:
-            topology = _topology_from_arrays(config, arrays)
-            # copy=False: the oracle's distance matrices stay views into
-            # the shared pages — the whole point of the tier.
-            oracle = DelayOracle.from_matrices(
-                topology,
-                {"intra": arrays["oracle_intra"], "core": arrays["oracle_core"]},
-                copy=False,
-            )
-            return topology, oracle
-        except Exception:
-            # Torn/foreign segment content: fall through to the disk tier.
-            return None
-
-    def _store_to_shm(
-        self, key: str, pair: Tuple[TransitStubTopology, DelayOracle]
-    ) -> None:
-        if not shm.shm_enabled():
-            return
-        topology, oracle = pair
-        arrays = _topology_to_arrays(topology)
-        matrices = oracle.to_matrices()
-        arrays["oracle_intra"] = matrices["intra"]
-        arrays["oracle_core"] = matrices["core"]
-        shm.publish(key, arrays)
 
     # -- disk tier -----------------------------------------------------------
 

@@ -83,7 +83,6 @@ class DelayOracle:
         cls,
         topology: TransitStubTopology,
         matrices: Dict[str, np.ndarray],
-        copy: bool = True,
     ) -> "DelayOracle":
         """Build an oracle from cached matrices, skipping the precompute.
 
@@ -91,9 +90,9 @@ class DelayOracle:
         the Floyd-Warshall / Dijkstra products are loaded.  Queries on the
         result are bit-identical to a freshly constructed oracle.
 
-        ``copy=False`` keeps the provided arrays as the oracle's backing
-        store — zero-copy when they are views into a shared-memory segment
-        (:mod:`repro.topology.shm`).  The oracle never mutates them.
+        The arrays become the oracle's backing store as they are, without a
+        copy: the disk tier hands over private arrays fresh from
+        ``np.load``, and the oracle never mutates them.
         """
         intra = matrices["intra"]
         if len(intra) != len(topology.stub_domains):
@@ -104,12 +103,8 @@ class DelayOracle:
         oracle = cls.__new__(cls)
         oracle._topology = topology
         oracle._num_transit = len(topology.transit_nodes)
-        if copy:
-            intra = np.array(intra)
-            core = np.array(matrices["core"])
-        else:
-            intra = np.asarray(intra)
-            core = np.asarray(matrices["core"])
+        intra = np.asarray(intra)
+        core = np.asarray(matrices["core"])
         oracle._intra = [intra[i] for i in range(len(intra))]
         oracle._local_index = {}
         for domain in topology.stub_domains:

@@ -7,11 +7,15 @@ processes must produce byte-identical tables and JSON to a fully serial
 """
 
 import json
+import multiprocessing
 import os
 import re
+import tempfile
 
+import numpy as np
 import pytest
 
+from repro.config import TopologyConfig
 from repro.experiments import common
 from repro.experiments.pool import (
     ExperimentJob,
@@ -21,7 +25,7 @@ from repro.experiments.pool import (
 )
 from repro.experiments.registry import REGISTRY, ExperimentResult, register
 from repro.experiments.runner import main
-from repro.topology.cache import ENV_CACHE_DIR
+from repro.topology.cache import ENV_CACHE_DIR, default_cache
 
 TIMING_LINE = re.compile(r" in [0-9.]+s\]")
 
@@ -137,6 +141,102 @@ def test_wedged_worker_times_out_and_retries():
         assert pool.retried_jobs >= 1
     finally:
         REGISTRY.pop(experiment_id, None)
+
+
+def _topology_cache_dirs():
+    return {
+        name
+        for name in os.listdir(tempfile.gettempdir())
+        if name.startswith("repro-topo-cache-")
+    }
+
+
+def test_crash_retry_with_cached_underlay_matches_serial():
+    """Jobs that read the underlay through the topology cache match the
+    serial run byte for byte even when a worker crashes and its job is
+    retried in-process; the pool's temporary cache directory is removed
+    and its variable does not leak into the parent."""
+    experiment_id = "testcachecrash"
+    config = TopologyConfig(
+        transit_domains=2,
+        transit_nodes_per_domain=3,
+        stub_domains_per_transit=2,
+        stub_nodes_per_domain=5,
+        seed=9,
+    )
+
+    def run(scale=1.0, seed=42, **_):
+        # Crash the seed-1 job whenever it runs inside a worker (only
+        # workers get REPRO_CACHE_DIR from the pool initializer); the
+        # in-process retry in the parent then succeeds.
+        if seed == 1 and os.environ.get(ENV_CACHE_DIR):
+            os._exit(23)
+        topo, oracle = default_cache().get(config)
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, topo.num_nodes, size=(50, 2))
+        total = sum(oracle.delay_ms(int(u), int(v)) for u, v in pairs)
+        return ExperimentResult(
+            experiment_id, "cache crash", table=f"seed={seed} total={total!r}"
+        )
+
+    _register_flaky(experiment_id, run)
+    try:
+        jobs = [ExperimentJob.make(experiment_id, seed=s) for s in (1, 2, 3)]
+        serial = ExperimentPool(jobs=1).run(jobs)
+
+        common.clear_caches()
+        assert ENV_CACHE_DIR not in os.environ
+        before = _topology_cache_dirs()
+        pool = ExperimentPool(jobs=2)
+        parallel = pool.run(jobs)
+
+        assert pool.retried_jobs >= 1
+        assert [r.table for r in serial] == [r.table for r in parallel]
+        assert _topology_cache_dirs() <= before
+        assert ENV_CACHE_DIR not in os.environ
+    finally:
+        REGISTRY.pop(experiment_id, None)
+
+
+def test_workers_fork_whatever_the_default_start_method():
+    """Spawn and forkserver workers re-import the package, so they would
+    not know an experiment registered at runtime; the pool forks."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("this platform cannot fork")
+    experiment_id = "testforked"
+
+    def run(scale=1.0, seed=42, **_):
+        return ExperimentResult(experiment_id, "pid", table=str(os.getpid()))
+
+    _register_flaky(experiment_id, run)
+    prior = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        pool = ExperimentPool(jobs=2)
+        results = pool.run(
+            [ExperimentJob.make(experiment_id, seed=s) for s in (1, 2)]
+        )
+        assert pool.retried_jobs == 0
+        assert len(results) == 2
+        assert str(os.getpid()) not in {r.table for r in results}
+    finally:
+        multiprocessing.set_start_method(prior, force=True)
+        REGISTRY.pop(experiment_id, None)
+
+
+def test_single_job_fans_its_units_out():
+    """One figure job whose plan holds several units runs them in
+    workers: the parent only demuxes, and the result equals the serial
+    one."""
+    job = ExperimentJob.make("fig05", scale=0.02, seed=3)
+    (serial,) = ExperimentPool(jobs=1).run([job])
+    common.clear_caches()
+    (parallel,) = ExperimentPool(jobs=2).run([job])
+    stats = common.cache_stats()
+    assert stats["churn_misses"] == 0
+    assert stats["churn_hits"] > 0
+    assert parallel.table == serial.table
+    assert parallel.data == serial.data
 
 
 def test_jobs_one_is_fully_in_process():

@@ -315,14 +315,10 @@ def test_sigkill_mid_sweep_resumes_at_unit_granularity(tmp_path):
 
     store_root = tmp_path / "killed.runstore"
     ledger = store_root / "ledger.sqlite"
-    # REPRO_SHM=0: SIGKILL prevents the pool parent's cleanup `finally`
-    # from running, so a shm session opened by this process would leak
-    # its /dev/shm segments past the test (and trip the no-leak sweep in
-    # test_topology_shm).  The store ledger under test is unaffected.
     proc = subprocess.Popen(
         [sys.executable, str(script), str(tmp_path / "dead.json"), "4"],
         cwd=repo,
-        env=dict(env, REPRO_STORE_DIR=str(store_root), REPRO_SHM="0"),
+        env=dict(env, REPRO_STORE_DIR=str(store_root)),
         start_new_session=True,
     )
     try:
