@@ -21,6 +21,19 @@ from repro import ChurnSimulation, paper_config
 from repro.protocols.rost import RostProtocol
 
 
+class CheaterDamage:
+    """Listener counting the in-window members disrupted by departing
+    cheaters (the churn run's ``disruption`` topic)."""
+
+    def __init__(self, cheater_ids):
+        self.cheater_ids = cheater_ids
+        self.disrupted = 0
+
+    def on_disruption(self, event):
+        if event.in_window and event.failed.member_id in self.cheater_ids:
+            self.disrupted += event.subtree_size - 1
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true")
@@ -44,23 +57,17 @@ def main() -> None:
     for label, use_referees in (("claims trusted", False), ("referees on", True)):
         cheater_ids.clear()
         cheat_rng = np.random.default_rng(args.seed)
+        damage = CheaterDamage(cheater_ids)
         sim = ChurnSimulation(
             config,
             lambda ctx: RostProtocol(ctx, use_referees=use_referees),
             topology=shared.get("topology"),
             oracle=shared.get("oracle"),
+            listeners=[damage],
             member_setup=member_setup,
         )
         shared.setdefault("topology", sim.topology)
         shared.setdefault("oracle", sim.oracle)
-
-        cheat_disruptions = [0]
-
-        def observer(event, sink=cheat_disruptions):
-            if event.in_window and event.failed.member_id in cheater_ids:
-                sink[0] += event.subtree_size - 1
-
-        sim.disruption_observer = observer
         result = sim.run()
 
         cheaters = [
@@ -76,7 +83,7 @@ def main() -> None:
         print(
             f"{label:15s} cheater mean layer={mean_layer:5.2f} "
             f"(honest {honest_layer:5.2f})  "
-            f"disruptions caused by cheaters={cheat_disruptions[0]:5d}  "
+            f"disruptions caused by cheaters={damage.disrupted:5d}  "
             f"overall disruptions/node={result.metrics.avg_disruptions_per_node:5.2f}"
         )
 

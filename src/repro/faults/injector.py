@@ -34,46 +34,69 @@ from .model import LinkDegradation
 from .schedule import FaultSchedule
 
 
-def _chain(first: Optional[Callable], second: Callable) -> Callable:
-    """Compose two observer callbacks (existing one runs first)."""
-    if first is None:
-        return second
+class ResilienceFeed:
+    """Listener feeding a churn run's failure lifecycle into
+    :class:`ResilienceMetrics`.
 
-    def chained(*args, **kwargs):
-        first(*args, **kwargs)
-        second(*args, **kwargs)
-
-    return chained
-
-
-def wire_resilience(churn: ChurnSimulation, resilience: ResilienceMetrics) -> None:
-    """Feed a churn simulation's failure lifecycle into ``resilience``.
-
-    Composes with (never replaces) observers already installed — e.g. the
-    :class:`~repro.simulation.streaming.RecoveryObserver` — so one run can
-    price starvation episodes *and* account MTTR / delivered data.
+    Every outage the metrics report opening or closing is published on
+    the same simulator as ``outage_open(t, member_id, cause)`` and
+    ``outage_close(start, end, member_id, cause)``; end-of-run closes are
+    published by :meth:`finish`.
     """
 
-    def on_disruption(event) -> None:
+    def __init__(self, churn: ChurnSimulation, resilience: ResilienceMetrics):
+        self.resilience = resilience
+        self._sim = churn.sim
+
+    def on_disruption(self, event) -> None:
+        resilience = self.resilience
         descendants = event.failed.descendants()
         ids = [event.failed.member_id] + [d.member_id for d in descendants]
         resilience.record_disruption(event.time, event.cause, ids)
         # The failed member departs; its descendants are without data
         # until their subtree root (the orphan child) re-attaches.
         for member in descendants:
-            resilience.mark_detached(event.time, member.member_id, event.cause)
+            if resilience.mark_detached(event.time, member.member_id, event.cause):
+                self._sim.publish(
+                    "outage_open", event.time, member.member_id, event.cause
+                )
 
-    def on_reattach(now: float, orphan: OverlayNode) -> None:
-        resilience.record_reattach(now, orphan.member_id)
-        for member in orphan.descendants():
-            resilience.record_reattach(now, member.member_id)
+    def on_reattach(self, now: float, orphan: OverlayNode) -> None:
+        for member in [orphan] + orphan.descendants():
+            member_id = member.member_id
+            self._closed(
+                now, member_id, self.resilience.record_reattach(now, member_id)
+            )
 
-    def on_departure(now: float, node: OverlayNode) -> None:
-        resilience.record_departure(now, node.member_id)
+    def on_departure(self, now: float, node: OverlayNode) -> None:
+        member_id = node.member_id
+        self._closed(
+            now, member_id, self.resilience.record_departure(now, member_id)
+        )
 
-    churn.disruption_observer = _chain(churn.disruption_observer, on_disruption)
-    churn.reattach_observer = _chain(churn.reattach_observer, on_reattach)
-    churn.departure_observer = _chain(churn.departure_observer, on_departure)
+    def finish(self, t: float) -> None:
+        """End the run's accounting at ``t`` (see ResilienceMetrics.finish)."""
+        for member_id, start, cause in self.resilience.finish(t):
+            self._sim.publish("outage_close", start, t, member_id, cause)
+
+    def _closed(self, end: float, member_id: int, opened) -> None:
+        if opened is not None:
+            start, cause = opened
+            self._sim.publish("outage_close", start, end, member_id, cause)
+
+
+def wire_resilience(
+    churn: ChurnSimulation, resilience: ResilienceMetrics
+) -> ResilienceFeed:
+    """Subscribe a :class:`ResilienceFeed` to ``churn`` and return it.
+
+    It joins the end of the listener list, after e.g. the
+    :class:`~repro.simulation.streaming.RecoveryObserver`, so one run can
+    price starvation episodes *and* account MTTR / delivered data.
+    """
+    feed = ResilienceFeed(churn, resilience)
+    churn.sim.subscribe(feed)
+    return feed
 
 
 class DegradedOracle:
@@ -159,7 +182,7 @@ class FaultInjector:
     ``bind`` schedules one timer event per fault (at priority -2, so an
     injected kill beats a natural departure at the same instant and the
     later natural event no-ops).  The optional ``resilience`` collector is
-    wired through the churn observers and receives the injection log.
+    fed through :func:`wire_resilience` and receives the injection log.
     """
 
     def __init__(self, schedule: FaultSchedule):

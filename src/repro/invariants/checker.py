@@ -1,12 +1,13 @@
 """Observer-driven runtime invariant checking for churn simulations.
 
 :class:`InvariantChecker` attaches to a :class:`ChurnSimulation` (or
-anything carrying one, e.g. a ``RecoverySimulation``) through public
-observation surface only — the engine's ``trace_pre``/``trace_post``
-hooks, observer chaining, and per-instance wrapping of the tree's switch
-operations and the recovery observer's episode pricing.  Protocol code is
-never modified, so the checker composes with fault injection, every
-protocol, and any workload.
+anything carrying one, e.g. a ``RecoverySimulation``) as one listener on
+its simulator (:meth:`~repro.sim.engine.Simulator.subscribe`): the
+engine's ``event_pre``/``event_post``, the churn run's ``disruption``,
+ROST's ``switch_pre``/``switch_post`` and the recovery observer's
+``episode_pre``/``episode_post`` topics.  Protocol code is never
+modified, so the checker composes with fault injection, every protocol,
+and any workload.
 
 Violations become structured
 :class:`~repro.invariants.registry.InvariantViolation` records; with
@@ -79,14 +80,20 @@ class InvariantChecker:
         #: Correlated-failure sets awaiting the atomicity check.
         self._cofail_pending: Dict[FrozenSet[int], float] = {}
         self._lock_hold_s = 0.0
+        self._protocol = None
+        #: (involved members, pre-switch parent) of the switch in flight.
+        self._switch: tuple = ((), None)
+        #: Result totals and buffer depths before the episode in flight.
+        self._episode: tuple = ()
         self._attached = False
         self._finalized = False
 
     # -- attachment -----------------------------------------------------------------
 
     def attach(self, target) -> "InvariantChecker":
-        """Hook into ``target`` (a ChurnSimulation, or anything with a
-        ``.churn`` attribute holding one).  Must run before the sim does."""
+        """Subscribe to ``target``'s simulator (a ChurnSimulation, or
+        anything with a ``.churn`` attribute holding one).  Must run
+        before the sim does."""
         churn = getattr(target, "churn", None)
         if churn is None or not hasattr(churn, "sim"):
             churn = target
@@ -100,144 +107,100 @@ class InvariantChecker:
         self.churn = churn
         self.sim = churn.sim
         self.tree = churn.tree
-        self._chain_trace_hooks()
-        if self._want("fault-atomic-cofail"):
-            self._chain_disruption_observer()
-        protocol = getattr(churn, "protocol", None)
-        if (
-            protocol is not None
-            and hasattr(protocol, "lock_hold_s")
-            and hasattr(protocol, "_values")
+        # Only the ROST family publishes the switch topics, which carry its
+        # lock discipline and BTP ordering.
+        self._protocol = getattr(churn, "protocol", None)
+        self._lock_hold_s = float(getattr(self._protocol, "lock_hold_s", 0.0))
+        self.sim.subscribe(self)
+        return self
+
+    # -- topics ------------------------------------------------------------------------
+
+    def on_disruption(self, event) -> None:
+        if len(event.co_failed_ids) > 1 and self._want("fault-atomic-cofail"):
+            self._cofail_pending.setdefault(event.co_failed_ids, event.time)
+
+    def on_switch_pre(self, op: str, node) -> None:
+        """ROST is about to swap ``node`` with its parent (``"swap"``) or
+        move it into a spare slot of its grandparent (``"promote"``)."""
+        parent = node.parent
+        involved = [node]
+        if parent is not None:
+            involved.append(parent)
+            if parent.parent is not None:
+                involved.append(parent.parent)
+            if op == "swap":
+                involved.extend(c for c in parent.children if c is not node)
+        if op == "swap":
+            involved.extend(node.children)
+        self._check_lock_windows(
+            involved,
+            self.sim.now,
+            operation="switch" if op == "swap" else "promotion",
+        )
+        self._switch = (involved, parent)
+
+    def on_switch_post(self, op: str, node) -> None:
+        involved, parent = self._switch
+        now = self.sim.now
+        if op == "swap" and parent is not None and self._want(
+            "rost-switch-btp-order"
         ):
-            self._lock_hold_s = float(protocol.lock_hold_s)
-            self._wrap_tree_switches(protocol)
-        return self
-
-    def _chain_trace_hooks(self) -> None:
-        prev_pre = self.sim.trace_pre
-        prev_post = self.sim.trace_post
-
-        def pre(event) -> None:
-            if prev_pre is not None:
-                prev_pre(event)
-            self._on_event_pre(event)
-
-        def post(event) -> None:
-            if prev_post is not None:
-                prev_post(event)
-            self._on_event_post(event)
-
-        self.sim.trace_pre = pre
-        self.sim.trace_post = post
-
-    def _chain_disruption_observer(self) -> None:
-        prev = self.churn.disruption_observer
-
-        def observe(event) -> None:
-            if prev is not None:
-                prev(event)
-            if len(event.co_failed_ids) > 1:
-                self._cofail_pending.setdefault(event.co_failed_ids, event.time)
-
-        self.churn.disruption_observer = observe
-
-    def _wrap_tree_switches(self, protocol) -> None:
-        """Per-instance wrappers around the tree's two switch operations,
-        enforcing the lock discipline and the BTP ordering (ROST family
-        only — gated on the protocol exposing its lock/valuation surface)."""
-        tree = self.tree
-        orig_swap = tree.swap_with_parent
-        orig_promote = tree.promote_to_grandparent
-
-        def checked_swap(child, overflow_priority):
-            now = self.sim.now
-            parent = child.parent
-            involved = [child]
-            if parent is not None:
-                involved.append(parent)
-                if parent.parent is not None:
-                    involved.append(parent.parent)
-                involved.extend(c for c in parent.children if c is not child)
-            involved.extend(child.children)
-            self._check_lock_windows(involved, now, operation="switch")
-            result = orig_swap(child, overflow_priority)
-            if parent is not None:
-                # An unpriced read: checking a run must not add to its
-                # message counts.
-                (_, child_btp), (_, parent_btp) = protocol._values(
-                    (child, parent), account=False
+            # An unpriced read: checking a run must not add to its
+            # message counts.
+            (_, child_btp), (_, parent_btp) = self._protocol._values(
+                (node, parent), account=False
+            )
+            if child_btp < parent_btp - _EPS:
+                self._record(
+                    "rost-switch-btp-order",
+                    now,
+                    f"switch promoted member {node.member_id} (BTP "
+                    f"{child_btp:.3f}) above member {parent.member_id} "
+                    f"(BTP {parent_btp:.3f})",
+                    node_ids=(node.member_id, parent.member_id),
+                    snapshot={
+                        "child_btp": child_btp,
+                        "parent_btp": parent_btp,
+                    },
                 )
-                if child_btp < parent_btp - _EPS:
-                    self._record(
-                        "rost-switch-btp-order",
-                        now,
-                        f"switch promoted member {child.member_id} (BTP "
-                        f"{child_btp:.3f}) above member {parent.member_id} "
-                        f"(BTP {parent_btp:.3f})",
-                        node_ids=(child.member_id, parent.member_id),
-                        snapshot={
-                            "child_btp": child_btp,
-                            "parent_btp": parent_btp,
-                        },
-                    )
-            self._note_lock_windows(involved, now)
-            return result
+        self._note_lock_windows(involved, now)
 
-        def checked_promote(node):
-            now = self.sim.now
-            involved = [node]
-            if node.parent is not None:
-                involved.append(node.parent)
-                if node.parent.parent is not None:
-                    involved.append(node.parent.parent)
-            self._check_lock_windows(involved, now, operation="promotion")
-            result = orig_promote(node)
-            self._note_lock_windows(involved, now)
-            return result
-
-        tree.swap_with_parent = checked_swap
-        tree.promote_to_grandparent = checked_promote
-
-    # -- recovery hook ---------------------------------------------------------------
-
-    def attach_recovery(self, observer) -> "InvariantChecker":
-        """Wrap a :class:`RecoveryObserver`'s episode pricing with the
-        recovery-layer invariants (called by ``RecoverySimulation``)."""
-        if not any(inv.layer == "recovery" for inv in self.invariants):
-            return self
-        orig_apply = observer._apply_episode
-        recovery_cfg = observer.recovery_config
-
-        def checked_apply(scheme, now, members, sources, gap_packets, backfill=None):
-            result = observer.results[scheme.name]
-            pre_episodes = result.episodes
-            pre_coverage = result.coverage_sum
-            pre_gap = result.gap_packets_total
-            pre_repaired = result.repaired_packets_total
+    def on_episode_pre(
+        self, observer, scheme, now, members, sources, gap_packets, backfill
+    ) -> None:
+        """A :class:`RecoveryObserver` is about to price an episode."""
+        result = observer.results[scheme.name]
+        self._episode = (
+            result.episodes,
+            result.coverage_sum,
+            result.gap_packets_total,
+            result.repaired_packets_total,
             # Pricing mutates the playback buffers; capture them first.
-            buffers = [
-                observer._state_for(scheme, m).buffer_ahead_at(now)
-                for m in members
-            ]
-            orig_apply(scheme, now, members, sources, gap_packets, backfill)
-            d_episodes = result.episodes - pre_episodes
-            d_coverage = result.coverage_sum - pre_coverage
-            d_gap = result.gap_packets_total - pre_gap
-            d_repaired = result.repaired_packets_total - pre_repaired
-            self._check_episode_conservation(
-                scheme, now, members, gap_packets, d_episodes, d_gap, d_repaired
-            )
-            self._check_residual_coverage(
-                scheme, now, members, sources, gap_packets,
-                recovery_cfg.packet_rate_pps, d_episodes, d_coverage,
-            )
-            self._check_backfill_window(
-                scheme, now, members, sources, gap_packets, backfill,
-                recovery_cfg, buffers, d_repaired,
-            )
+            [observer._state_for(scheme, m).buffer_ahead_at(now) for m in members],
+        )
 
-        observer._apply_episode = checked_apply
-        return self
+    def on_episode_post(
+        self, observer, scheme, now, members, sources, gap_packets, backfill
+    ) -> None:
+        pre_episodes, pre_coverage, pre_gap, pre_repaired, buffers = self._episode
+        result = observer.results[scheme.name]
+        d_episodes = result.episodes - pre_episodes
+        d_coverage = result.coverage_sum - pre_coverage
+        d_gap = result.gap_packets_total - pre_gap
+        d_repaired = result.repaired_packets_total - pre_repaired
+        recovery_cfg = observer.recovery_config
+        self._check_episode_conservation(
+            scheme, now, members, gap_packets, d_episodes, d_gap, d_repaired
+        )
+        self._check_residual_coverage(
+            scheme, now, members, sources, gap_packets,
+            recovery_cfg.packet_rate_pps, d_episodes, d_coverage,
+        )
+        self._check_backfill_window(
+            scheme, now, members, sources, gap_packets, backfill,
+            recovery_cfg, buffers, d_repaired,
+        )
 
     def _check_episode_conservation(
         self, scheme, now, members, gap_packets, d_episodes, d_gap, d_repaired
@@ -349,7 +312,7 @@ class InvariantChecker:
 
     # -- event tracing ----------------------------------------------------------------
 
-    def _on_event_pre(self, event) -> None:
+    def on_event_pre(self, event) -> None:
         if self._want("sim-clock-monotonic"):
             if event.time < self._last_event_time - _EPS:
                 self._record(
@@ -382,7 +345,7 @@ class InvariantChecker:
                 snapshot={"seq": event.seq, "label": event.label},
             )
 
-    def _on_event_post(self, event) -> None:
+    def on_event_post(self, event) -> None:
         self.events_seen += 1
         if self.events_seen % self.interval_events == 0:
             self._sweep()

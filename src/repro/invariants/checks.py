@@ -3,7 +3,7 @@
 Quiescent checks (functions below) run between events over the whole
 simulation state; instrumented invariants (declared at the bottom) are
 enforced inline by :class:`~repro.invariants.checker.InvariantChecker`
-hooks where the transient state they guard is visible — see
+topic methods where the transient state they guard is visible — see
 ``docs/invariants.md`` for the full catalogue.
 """
 
@@ -287,7 +287,7 @@ def check_atomic_cofail(ctx: CheckContext) -> Iterator[dict]:
         del pending[ids]
 
 
-# -- instrumented invariants (enforced by InvariantChecker hooks) ------------------
+# -- instrumented invariants (enforced by InvariantChecker topic methods) -----------
 
 declare_invariant(
     "sim-clock-monotonic",

@@ -13,8 +13,8 @@ Two kinds of invariants exist:
   dict per violation (``message`` plus optional ``node_ids`` /
   ``snapshot``);
 * **instrumented** invariants have ``check=None`` — they are enforced
-  inline by :class:`~repro.invariants.checker.InvariantChecker`'s hooks
-  (event tracing, wrapped tree operations, wrapped episode pricing),
+  inline by :class:`~repro.invariants.checker.InvariantChecker`'s topic
+  methods (engine events, ROST switches, recovery episode pricing),
   where the transient state they guard is actually visible.
 
 Violations are reported uniformly as :class:`InvariantViolation`
@@ -126,7 +126,8 @@ def invariant(name: str, layer: str, description: str):
 
 
 def declare_invariant(name: str, layer: str, description: str) -> Invariant:
-    """Register an instrumented invariant (enforced by checker hooks)."""
+    """Register an instrumented invariant (enforced by the checker's
+    topic methods)."""
     return register_invariant(
         Invariant(name=name, layer=layer, description=description, check=None)
     )

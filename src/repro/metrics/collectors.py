@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .stats import mean_and_ci
 
@@ -278,9 +278,11 @@ class ResilienceMetrics:
     * **delivered-data ratio** — attached (streaming) node-seconds over
       attached + detached node-seconds inside the measurement window.
 
-    The churn driver does not know this class; the fault campaign wires
-    it through the ``disruption_observer`` / ``reattach_observer`` /
-    ``departure_observer`` hooks.
+    The churn driver does not know this class:
+    :func:`repro.faults.injector.wire_resilience` feeds it from a churn
+    run's ``disruption`` / ``reattach`` / ``departure`` topics, and the
+    outages its methods report opening and closing become that run's
+    ``outage_open`` / ``outage_close`` topics.
     """
 
     def __init__(self, window_start: float, window_end: float):
@@ -309,15 +311,6 @@ class ResilienceMetrics:
         #: (consumers — e.g. the multi-tree stripe accounting — clip to
         #: their own observation windows).
         self.outage_intervals: Dict[int, List[Tuple[float, float]]] = {}
-        #: Optional hooks: ``outage_opened(t, member_id, cause)`` fires
-        #: only when a genuinely new outage opens (re-marks of an already
-        #: detached member keep the earliest mark and stay silent);
-        #: ``outage_closed(start, end, member_id, cause)`` fires on every
-        #: actual close — reattach, departure, or end-of-run ``finish``.
-        self.outage_opened: Optional[Callable[[float, int, str], None]] = None
-        self.outage_closed: Optional[
-            Callable[[float, float, int, str], None]
-        ] = None
 
     # -- recording -------------------------------------------------------------
 
@@ -337,22 +330,27 @@ class ResilienceMetrics:
                 self.disruptions_per_member.get(member_id, 0) + 1
             )
 
-    def mark_detached(self, t: float, member_id: int, cause: str) -> None:
-        """An orphan lost its parent at ``t`` (keeps the earliest mark)."""
+    def mark_detached(self, t: float, member_id: int, cause: str) -> bool:
+        """An orphan lost its parent at ``t``.  True if this opens a new
+        outage; a member already detached keeps its earliest mark."""
         if member_id in self._open_outages:
-            return
+            return False
         self._open_outages[member_id] = (t, cause)
-        if self.outage_opened is not None:
-            self.outage_opened(t, member_id, cause)
+        return True
 
-    def record_reattach(self, t: float, member_id: int) -> None:
+    def record_reattach(
+        self, t: float, member_id: int
+    ) -> Optional[Tuple[float, str]]:
+        """The member streams again; returns the ``(start, cause)`` of the
+        outage this closes, if it had one open."""
         opened = self._open_outages.pop(member_id, None)
         if opened is None:
-            return
+            return None
         start, cause = opened
         self.repair_times.setdefault(cause, []).append(t - start)
         self._account_detached(start, t)
-        self._close_interval(start, t, member_id, cause)
+        self._close_interval(start, t, member_id)
+        return opened
 
     def record_stream_loss(
         self, start: float, end: float, members: int, loss_rate: float
@@ -364,21 +362,29 @@ class ResilienceMetrics:
         if hi > lo and members > 0 and loss_rate > 0:
             self.stream_loss_seconds += (hi - lo) * members * loss_rate
 
-    def record_departure(self, t: float, member_id: int) -> None:
-        """A member left; close any outage it never repaired."""
+    def record_departure(
+        self, t: float, member_id: int
+    ) -> Optional[Tuple[float, str]]:
+        """A member left; closes (and returns the ``(start, cause)`` of)
+        any outage it never repaired."""
         opened = self._open_outages.pop(member_id, None)
         if opened is not None:
-            start, cause = opened
+            start, _ = opened
             self._account_detached(start, t)
-            self._close_interval(start, t, member_id, cause)
+            self._close_interval(start, t, member_id)
+        return opened
 
-    def finish(self, t: float) -> None:
-        """End of run: members still detached stayed so through ``t``."""
+    def finish(self, t: float) -> List[Tuple[int, float, str]]:
+        """End of run: members still detached stayed so through ``t``.
+        Returns the ``(member_id, start, cause)`` of every outage closed."""
+        closed = []
         for member_id in sorted(self._open_outages):
             start, cause = self._open_outages[member_id]
             self._account_detached(start, t)
-            self._close_interval(start, t, member_id, cause)
+            self._close_interval(start, t, member_id)
+            closed.append((member_id, start, cause))
         self._open_outages.clear()
+        return closed
 
     def _account_detached(self, start: float, end: float) -> None:
         lo = max(start, self.window_start)
@@ -386,13 +392,9 @@ class ResilienceMetrics:
         if hi > lo:
             self.detached_seconds += hi - lo
 
-    def _close_interval(
-        self, start: float, end: float, member_id: int, cause: str
-    ) -> None:
+    def _close_interval(self, start: float, end: float, member_id: int) -> None:
         if end > start:
             self.outage_intervals.setdefault(member_id, []).append((start, end))
-        if self.outage_closed is not None:
-            self.outage_closed(start, end, member_id, cause)
 
     # -- derived metrics ----------------------------------------------------------
 

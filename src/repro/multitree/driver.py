@@ -34,9 +34,9 @@ stack per stripe:
   planned once by :class:`~repro.multitree.faults.StripeFaultPlanner`
   and replayed into every stripe, so a correlated crash removes the
   member from *all* trees atomically;
-* **observability** — per-stripe trace attachments plus
-  ``stripe_outage_open``/``stripe_outage_close`` records driven by the
-  resilience outage callbacks.
+* **observability** — per-stripe trace attachments, which turn each
+  stripe's ``outage_open``/``outage_close`` topics into
+  ``stripe_outage_open``/``stripe_outage_close`` records.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import SimulationConfig
-from ..faults.injector import _chain, wire_resilience
+from ..faults.injector import ResilienceFeed, wire_resilience
 from ..faults.schedule import FaultSchedule
 from ..metrics.collectors import ResilienceMetrics
 from ..metrics.stats import mean_and_ci
@@ -196,6 +196,7 @@ class MultiTreeSimulation:
         self._sims: List = []
         self._churns: List[ChurnSimulation] = []
         self.stripe_resilience: List[ResilienceMetrics] = []
+        self._feeds: List[ResilienceFeed] = []
         self._measured: Dict[int, Tuple[float, float]] = {}
         self._attachments: List = [None] * num_trees
         self._obs_meta = dict(obs_meta or {})
@@ -256,15 +257,11 @@ class MultiTreeSimulation:
             resilience = ResilienceMetrics(
                 seeded.warmup_s, seeded.horizon_s
             )
-            resilience.outage_opened = self._outage_opened_for(tree_index)
-            resilience.outage_closed = self._outage_closed_for(tree_index)
-            # RecoverySimulation installs its own observers in its ctor;
-            # chain ours after the fact, never replace.
-            wire_resilience(churn, resilience)
+            # Subscribed after the stripe's own listeners (the recovery
+            # observer, the checker).
+            self._feeds.append(wire_resilience(churn, resilience))
             if tree_index == 0:
-                churn.departure_observer = _chain(
-                    churn.departure_observer, self._capture_departure
-                )
+                churn.sim.subscribe(self)
             self._sims.append(sim)
             self._churns.append(churn)
             self.stripe_resilience.append(resilience)
@@ -285,52 +282,19 @@ class MultiTreeSimulation:
         """Per-stripe attached checkers (``None`` entries when disabled)."""
         return [churn.invariant_checker for churn in self._churns]
 
-    # -- hooks ------------------------------------------------------------------
+    # -- listener ---------------------------------------------------------------
 
-    def _capture_departure(self, now: float, node: OverlayNode) -> None:
+    def on_departure(self, now: float, node: OverlayNode) -> None:
         """Record (join, departure) of members measured inside the window.
 
-        Departure bookkeeping only runs once, on stripe 0 — the workload
-        (and hence the member timeline) is shared across stripes.
+        Only stripe 0 publishes here — the workload (and hence the member
+        timeline) is shared across stripes.
         """
         if not node.ever_attached:
             return
         if not self._churns[0].metrics.in_window(now):
             return
         self._measured[node.member_id] = (node.join_time, now)
-
-    def _outage_opened_for(self, tree_index: int):
-        def opened(t: float, member_id: int, cause: str) -> None:
-            self.resilience.stripe_opened(member_id)
-            attachment = self._attachments[tree_index]
-            if attachment is not None and attachment.writer is not None:
-                attachment.writer.emit(
-                    {
-                        "type": "stripe_outage_open",
-                        "t": float(t),
-                        "member": int(member_id),
-                        "stripe": tree_index,
-                        "cause": str(cause),
-                    }
-                )
-
-        return opened
-
-    def _outage_closed_for(self, tree_index: int):
-        def closed(start: float, end: float, member_id: int, cause: str) -> None:
-            self.resilience.stripe_closed(member_id)
-            attachment = self._attachments[tree_index]
-            if attachment is not None and attachment.writer is not None:
-                attachment.writer.emit(
-                    {
-                        "type": "stripe_outage_close",
-                        "t": float(end),
-                        "member": int(member_id),
-                        "stripe": tree_index,
-                    }
-                )
-
-        return closed
 
     def _attach_obs(self) -> None:
         from ..obs.capture import obs_fingerprint
@@ -360,8 +324,8 @@ class MultiTreeSimulation:
     def run(self) -> MultiTreeResult:
         self._attach_obs()
         results = [sim.run() for sim in self._sims]
-        for tree_index, resilience in enumerate(self.stripe_resilience):
-            resilience.finish(self._churns[tree_index].sim.now)
+        for feed, churn in zip(self._feeds, self._churns):
+            feed.finish(churn.sim.now)
         result = self._combine(results)
         if any(a is not None for a in self._attachments):
             from ..obs.capture import emit_unit

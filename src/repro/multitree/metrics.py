@@ -84,9 +84,6 @@ class MultiTreeResilienceMetrics:
         self._bin_view = [0.0] * series_bins
         self._bin_outage = [0.0] * series_bins
         self._bin_blackout = [0.0] * series_bins
-        #: Live stripe-outage bookkeeping (how many stripes are currently
-        #: down per member; drives the obs open/close trace records).
-        self._open_stripes: Dict[int, int] = {}
 
     # -- recording -------------------------------------------------------------
 
@@ -126,22 +123,6 @@ class MultiTreeResilienceMetrics:
         for stripe in clipped:
             self._bin_add(self._bin_outage, stripe)
         self._bin_add(self._bin_blackout, blackouts)
-
-    def stripe_opened(self, member_id: int) -> bool:
-        """One stripe of ``member_id`` went down; True if this opens the
-        member's *first* concurrent stripe outage."""
-        count = self._open_stripes.get(member_id, 0)
-        self._open_stripes[member_id] = count + 1
-        return count == 0
-
-    def stripe_closed(self, member_id: int) -> bool:
-        """One stripe recovered; True if the member has no stripe down now."""
-        count = self._open_stripes.get(member_id, 0) - 1
-        if count <= 0:
-            self._open_stripes.pop(member_id, None)
-            return True
-        self._open_stripes[member_id] = count
-        return False
 
     def _bin_add(self, bins: List[float], intervals: Sequence[Interval]) -> None:
         """Distribute interval time over the window's equal-width bins."""

@@ -1,11 +1,11 @@
 """Unified observability: structured tracing, metrics, and profiling.
 
 ``repro.obs`` observes a run from the *outside*, exactly like
-:mod:`repro.invariants`: it chains the engine's ``trace_pre``/``trace_post``
-hooks, the churn/recovery observer callbacks, and per-instance wraps of a
-handful of overlay operations.  No protocol or kernel code is modified and
-nothing is installed unless a channel is explicitly enabled, so the event
-hot loop keeps its ``trace_pre is None`` fast path when observability is
+:mod:`repro.invariants`: it is one listener on the simulator's listener
+list (engine events, disruptions, reattachments, switches, recovery
+episodes, stripe outages).  No protocol or kernel code is modified and
+nothing is subscribed unless a channel is explicitly enabled, so the
+event hot loop keeps its no-listener fast path when observability is
 off.
 
 Three independent channels (see ``docs/observability.md``):

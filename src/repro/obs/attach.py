@@ -1,15 +1,17 @@
-"""ObsAttachment: wires tracing/metrics/profiling onto one simulation.
+"""ObsAttachment: tracing/metrics/profiling for one simulation.
 
-Follows the :class:`repro.invariants.InvariantChecker` attachment
-pattern exactly — the observation surface is the engine's
-``trace_pre``/``trace_post``/``profile`` hooks, the churn simulation's
-observer callbacks, and per-instance wraps of a handful of overlay
-operations.  Protocol and kernel code is never modified, every hook
-chains the previously-installed callback, and when no channel is
-enabled :meth:`attach` installs nothing at all, preserving the engine's
-``trace_pre is None`` fast path.
+Observes a run the way :class:`repro.invariants.InvariantChecker` does:
+as one listener on its simulator
+(:meth:`~repro.sim.engine.Simulator.subscribe`).  It listens to the
+engine's ``event_pre``/``event_post``, the churn run's ``disruption``/
+``reattach``/``overhead``, ROST's ``switch_post``, the recovery
+observer's ``episode_pre``/``episode_post`` and the fault resilience
+feed's ``outage_open``/``outage_close`` topics, and the profiler takes
+the engine's ``profile`` slot.  Protocol and kernel code is never
+modified, and unless the trace or metrics channel is enabled nothing is
+subscribed at all, preserving the engine's no-listener fast path.
 
-Counting is done with plain integer attributes in the hook closures
+Counting is done with plain integer attributes in the topic methods
 (cheaper than any instrument indirection); the metrics registry is
 populated once at :meth:`finalize`.  The registry is therefore a pure
 export surface and the counts stay independent of the legacy
@@ -88,10 +90,10 @@ class ObsAttachment:
         self._promotions = 0
         self._opt_reconnections = 0
         self._failure_reconnections = 0
-        self._control_messages = 0
         self._subtree_hist = Histogram()
         # scheme name -> [episodes, gap_packets, repaired_packets]
         self._recovery: Dict[str, List[int]] = {}
+        self._repaired_before = 0
 
         self._churn = None
         self._sim = None
@@ -104,40 +106,37 @@ class ObsAttachment:
         return self._trace or self._metrics or self._profile
 
     def attach(self, target) -> "ObsAttachment":
-        """Attach to a ChurnSimulation (or anything exposing ``.churn``).
-
-        A :class:`~repro.simulation.streaming.RecoverySimulation` is
-        recognised by its ``observer`` attribute and gets the recovery
-        episode surface wired automatically.
-        """
+        """Attach to a ChurnSimulation (or anything exposing ``.churn``,
+        e.g. a RecoverySimulation, whose episodes are then tallied)."""
         if not self.enabled:
             return self
         churn = getattr(target, "churn", None)
         if churn is None:
             churn = target
         self._churn = churn
-        self._sim = churn.sim
         self._emit_run_start(churn)
-        self._chain_engine_hooks(churn.sim)
-        self._chain_observers(churn)
-        self._wrap_tree_switches(churn)
-        self._wrap_messages(churn)
-        observer = getattr(target, "observer", None)
-        if observer is not None:
-            self.attach_recovery(observer)
-        return self
+        return self._attach_sim(churn.sim)
 
     def attach_engine(self, sim) -> "ObsAttachment":
         """Engine-only attachment for bare :class:`Simulator` users.
 
-        Installs just the event/fault trace hooks and the profiler; no
-        overlay surface is touched.  With every channel disabled this is
-        a strict no-op (used by the hot-loop overhead regression test).
+        Only the event/fault records, the event count and the profiler
+        apply.  With every channel disabled this is a strict no-op (used
+        by the hot-loop overhead regression test).
         """
         if not self.enabled:
             return self
+        return self._attach_sim(sim)
+
+    def _attach_sim(self, sim) -> "ObsAttachment":
         self._sim = sim
-        self._chain_engine_hooks(sim)
+        if self._trace or self._metrics:
+            sim.subscribe(self)
+        if self.profiler is not None:
+            profiler = self.profiler
+            sim.profile = lambda event, wall_s: profiler.record(
+                _event_profile_key(event), wall_s
+            )
         return self
 
     # -- wiring ------------------------------------------------------------------------
@@ -180,197 +179,135 @@ class ObsAttachment:
                 record[optional] = value
         writer.emit(record)
 
-    def _chain_engine_hooks(self, sim) -> None:
+    # -- topics ------------------------------------------------------------------------
+
+    def on_event_pre(self, event) -> None:
         writer = self.writer
-        if writer is not None or self._metrics:
-            prev_pre = sim.trace_pre
-            prev_post = sim.trace_post
-            trace_events = self._trace_events and writer is not None
-
-            def pre(event) -> None:
-                if prev_pre is not None:
-                    prev_pre(event)
-                label = event.label
-                if trace_events:
-                    writer.emit(
-                        {
-                            "type": "event",
-                            "t": float(event.time),
-                            "seq": int(event.seq),
-                            "label": label,
-                            "priority": int(event.priority),
-                        }
-                    )
-                if label and label.startswith("fault:"):
-                    self._fault_activations += 1
-                    if writer is not None:
-                        writer.emit(
-                            {
-                                "type": "fault",
-                                "t": float(event.time),
-                                "label": label,
-                            }
-                        )
-
-            def post(event) -> None:
-                if prev_post is not None:
-                    prev_post(event)
-                self._events_dispatched += 1
-
-            sim.trace_pre = pre
-            sim.trace_post = post
-        if self.profiler is not None:
-            prev_profile = sim.profile
-            profiler = self.profiler
-
-            def profile(event, wall_s: float) -> None:
-                if prev_profile is not None:
-                    prev_profile(event, wall_s)
-                profiler.record(_event_profile_key(event), wall_s)
-
-            sim.profile = profile
-
-    def _chain_observers(self, churn) -> None:
-        writer = self.writer
-        sim = churn.sim
-        metrics = churn.metrics
-
-        prev_disruption = churn.disruption_observer
-
-        def on_disruption(event) -> None:
-            if prev_disruption is not None:
-                prev_disruption(event)
-            self._disruption_failures += 1
-            if event.in_window:
-                self._disruption_events += event.subtree_size - 1
-            self._subtree_hist.observe(event.subtree_size)
+        label = event.label
+        if writer is not None and self._trace_events:
+            writer.emit(
+                {
+                    "type": "event",
+                    "t": float(event.time),
+                    "seq": int(event.seq),
+                    "label": label,
+                    "priority": int(event.priority),
+                }
+            )
+        if label and label.startswith("fault:"):
+            self._fault_activations += 1
             if writer is not None:
                 writer.emit(
                     {
-                        "type": "disruption",
+                        "type": "fault",
                         "t": float(event.time),
-                        "cause": event.cause,
-                        "failed": int(event.failed.member_id),
-                        "subtree_size": int(event.subtree_size),
-                        "in_window": bool(event.in_window),
-                        "co_failed": sorted(
-                            int(m) for m in event.co_failed_ids
-                        ),
-                    }
-                )
-                for child in sorted(
-                    event.failed.children, key=lambda n: n.member_id
-                ):
-                    writer.emit(
-                        {
-                            "type": "episode_open",
-                            "t": float(event.time),
-                            "member": int(child.member_id),
-                            "cause": event.cause,
-                        }
-                    )
-
-        churn.disruption_observer = on_disruption
-
-        prev_reattach = churn.reattach_observer
-
-        def on_reattach(now: float, orphan) -> None:
-            if prev_reattach is not None:
-                prev_reattach(now, orphan)
-            if metrics.in_window(now):
-                self._failure_reconnections += 1
-            if writer is not None:
-                writer.emit(
-                    {
-                        "type": "episode_close",
-                        "t": float(now),
-                        "member": int(orphan.member_id),
+                        "label": label,
                     }
                 )
 
-        churn.reattach_observer = on_reattach
+    def on_event_post(self, event) -> None:
+        self._events_dispatched += 1
 
-        protocol = churn.protocol
-        if hasattr(protocol, "overhead_callback"):
-            prev_overhead = protocol.overhead_callback
-
-            def on_overhead(n: int) -> None:
-                if prev_overhead is not None:
-                    prev_overhead(n)
-                if metrics.in_window(sim.now):
-                    self._opt_reconnections += n
-
-            protocol.overhead_callback = on_overhead
-
-    def _wrap_tree_switches(self, churn) -> None:
-        tree = churn.tree
-        sim = churn.sim
+    def on_disruption(self, event) -> None:
         writer = self.writer
-        orig_swap = tree.swap_with_parent
-        orig_promote = tree.promote_to_grandparent
+        self._disruption_failures += 1
+        if event.in_window:
+            self._disruption_events += event.subtree_size - 1
+        self._subtree_hist.observe(event.subtree_size)
+        if writer is None:
+            return
+        writer.emit(
+            {
+                "type": "disruption",
+                "t": float(event.time),
+                "cause": event.cause,
+                "failed": int(event.failed.member_id),
+                "subtree_size": int(event.subtree_size),
+                "in_window": bool(event.in_window),
+                "co_failed": sorted(int(m) for m in event.co_failed_ids),
+            }
+        )
+        for child in sorted(event.failed.children, key=lambda n: n.member_id):
+            writer.emit(
+                {
+                    "type": "episode_open",
+                    "t": float(event.time),
+                    "member": int(child.member_id),
+                    "cause": event.cause,
+                }
+            )
 
-        def traced_swap(child, overflow_priority):
-            result = orig_swap(child, overflow_priority)
+    def on_reattach(self, now: float, orphan) -> None:
+        if self._churn.metrics.in_window(now):
+            self._failure_reconnections += 1
+        if self.writer is not None:
+            self.writer.emit(
+                {
+                    "type": "episode_close",
+                    "t": float(now),
+                    "member": int(orphan.member_id),
+                }
+            )
+
+    def on_overhead(self, reconnections: int) -> None:
+        if self._churn.metrics.in_window(self._sim.now):
+            self._opt_reconnections += reconnections
+
+    def on_switch_post(self, op: str, node) -> None:
+        if op == "swap":
             self._switches += 1
-            if writer is not None:
-                writer.emit(
-                    {
-                        "type": "switch",
-                        "t": float(sim.now),
-                        "op": "swap",
-                        "member": int(child.member_id),
-                    }
-                )
-            return result
-
-        def traced_promote(node):
-            result = orig_promote(node)
+        else:
             self._promotions += 1
-            if writer is not None:
-                writer.emit(
-                    {
-                        "type": "switch",
-                        "t": float(sim.now),
-                        "op": "promote",
-                        "member": int(node.member_id),
-                    }
-                )
-            return result
+        if self.writer is not None:
+            self.writer.emit(
+                {
+                    "type": "switch",
+                    "t": float(self._sim.now),
+                    "op": op,
+                    "member": int(node.member_id),
+                }
+            )
 
-        tree.swap_with_parent = traced_swap
-        tree.promote_to_grandparent = traced_promote
+    def on_episode_pre(self, observer, scheme, *_) -> None:
+        self._repaired_before = observer.results[scheme.name].repaired_packets_total
 
-    def _wrap_messages(self, churn) -> None:
-        stats = churn.ctx.messages
-        # Anything recorded before attach (normally nothing) still counts.
-        self._control_messages = stats.total
-        orig_record = stats.record
+    def on_episode_post(
+        self, observer, scheme, now, members, sources, gap_packets, backfill
+    ) -> None:
+        repaired = observer.results[scheme.name].repaired_packets_total
+        tally = self._recovery.get(scheme.name)
+        if tally is None:
+            tally = self._recovery[scheme.name] = [0, 0, 0]
+        tally[0] += len(members)
+        tally[1] += gap_packets * len(members)
+        tally[2] += repaired - self._repaired_before
 
-        def counted_record(message_type, count: int = 1) -> None:
-            orig_record(message_type, count)
-            self._control_messages += count
+    def on_outage_open(self, t: float, member_id: int, cause: str) -> None:
+        stripe = self.meta.get("stripe")
+        if self.writer is not None and stripe is not None:
+            self.writer.emit(
+                {
+                    "type": "stripe_outage_open",
+                    "t": float(t),
+                    "member": int(member_id),
+                    "stripe": stripe,
+                    "cause": str(cause),
+                }
+            )
 
-        stats.record = counted_record
-
-    def attach_recovery(self, observer) -> "ObsAttachment":
-        """Wrap the recovery observer's episode pricing (per scheme)."""
-        if not (self._trace or self._metrics):
-            return self
-        orig_apply = observer._apply_episode
-
-        def counted_apply(scheme, now, members, sources, gap_packets, backfill=None):
-            result = observer.results[scheme.name]
-            repaired_before = result.repaired_packets_total
-            orig_apply(scheme, now, members, sources, gap_packets, backfill)
-            tally = self._recovery.get(scheme.name)
-            if tally is None:
-                tally = self._recovery[scheme.name] = [0, 0, 0]
-            tally[0] += len(members)
-            tally[1] += gap_packets * len(members)
-            tally[2] += result.repaired_packets_total - repaired_before
-
-        observer._apply_episode = counted_apply
-        return self
+    def on_outage_close(
+        self, start: float, end: float, member_id: int, cause: str
+    ) -> None:
+        stripe = self.meta.get("stripe")
+        if self.writer is not None and stripe is not None:
+            self.writer.emit(
+                {
+                    "type": "stripe_outage_close",
+                    "t": float(end),
+                    "member": int(member_id),
+                    "stripe": stripe,
+                }
+            )
 
     # -- export ------------------------------------------------------------------------
 
@@ -390,7 +327,9 @@ class ObsAttachment:
             counter("overlay", "failure_reconnections").inc(
                 self._failure_reconnections
             )
-            counter("overlay", "control_messages").inc(self._control_messages)
+            counter("overlay", "control_messages").inc(
+                self._churn.ctx.messages.total
+            )
             counter("overlay", "tree_switch_ops").inc(self._switches)
             counter("overlay", "tree_promotions").inc(self._promotions)
             hist = registry.histogram("overlay", "disruption_subtree_size")

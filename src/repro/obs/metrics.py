@@ -6,9 +6,9 @@ Design constraints (see ISSUE 4 / docs/observability.md):
   attach time whether metrics are on hold :data:`NULL_INSTRUMENT` — a
   module-level null sink whose methods are no-ops — instead of branching
   or looking the instrument up per call.  The event hot loop itself goes
-  further: :class:`~repro.obs.attach.ObsAttachment` installs *no hooks at
-  all* when every channel is off, so the engine keeps its
-  ``trace_pre is None`` fast path.
+  further: :class:`~repro.obs.attach.ObsAttachment` subscribes *nothing*
+  when every channel is off, so the engine keeps its no-listener fast
+  path.
 * **No dict lookups in the hot loop.**  Instruments are resolved once at
   attach/registration time and bound to locals or attributes; ``inc`` /
   ``observe`` touch only slots.

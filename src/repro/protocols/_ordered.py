@@ -215,10 +215,5 @@ class RelaxedOrderedProtocol(TreeProtocol):
     # -- accounting ------------------------------------------------------------------
 
     def _count_overhead(self) -> None:
-        """Hook for the driver's metrics; bound by the churn driver."""
-        if self.overhead_callback is not None:
-            self.overhead_callback(1)
-
-    #: Set by the churn driver to route optimization-reconnection events
-    #: into the metrics window.
-    overhead_callback = None
+        """Publish one optimization reconnection (the ``overhead`` topic)."""
+        self.ctx.sim.publish("overhead", 1)

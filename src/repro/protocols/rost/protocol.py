@@ -15,12 +15,17 @@ Implements Section 3.3's three operations:
   and exchanges positions with the parent (Fig. 2); the parent's overflow
   children reconnect under the initiator, largest BTP first.  A failed
   lock acquisition retries after ``lock_retry_wait_s``.
+
+Each tree operation is published on the simulator's listener list as
+``switch_pre(op, node)`` and ``switch_post(op, node)`` around the tree
+call (``op`` is ``"swap"`` or ``"promote"``), and the members it moved
+as ``overhead(count)``.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...overlay.messages import MessageType
 from ...overlay.node import OverlayNode
@@ -71,8 +76,6 @@ class RostProtocol(TreeProtocol):
         self.promotions = 0
         #: Switch attempts that found the condition true but lost the lock.
         self.lock_failures = 0
-        #: Optional driver hook receiving optimization-reconnection counts.
-        self.overhead_callback: Optional[Callable[[int], None]] = None
 
     # -- protocol interface -----------------------------------------------------------
 
@@ -244,11 +247,13 @@ class RostProtocol(TreeProtocol):
             self._execute_switch(node)
 
     def _execute_promotion(self, node: OverlayNode) -> None:
+        sim = self.ctx.sim
+        sim.publish("switch_pre", "promote", node)
         self.ctx.tree.promote_to_grandparent(node)
+        sim.publish("switch_post", "promote", node)
         self.promotions += 1
         node.optimization_reconnections += 1
-        if self.overhead_callback is not None:
-            self.overhead_callback(1)
+        sim.publish("overhead", 1)
         self.ctx.messages.record(MessageType.SWITCH_COMMIT)
 
     def _execute_switch(self, node: OverlayNode) -> None:
@@ -265,12 +270,14 @@ class RostProtocol(TreeProtocol):
                 return self.referees.verified_btp(child, now)
             return child.claimed_btp(now)
 
+        sim = self.ctx.sim
+        sim.publish("switch_pre", "swap", node)
         needs_rejoin = self.ctx.tree.swap_with_parent(node, overflow_priority)
+        sim.publish("switch_post", "swap", node)
         self.switches += 1
         for member in affected:
             member.optimization_reconnections += 1
-        if self.overhead_callback is not None:
-            self.overhead_callback(len(affected))
+        sim.publish("overhead", len(affected))
         self.ctx.messages.record(MessageType.SWITCH_COMMIT, len(affected))
         # With the bandwidth guard on, overflow always fits back under the
         # initiator; without it (ablation) leftover children rejoin.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .events import Event, EventQueue
@@ -35,21 +37,56 @@ class Simulator:
         self._now = 0.0
         self._events_processed = 0
         self._running = False
-        #: Optional per-event observation hooks: ``trace_pre(event)`` runs
-        #: after the clock advances but before the action, ``trace_post``
-        #: after the action returns (a quiescent point — no handler is on
-        #: the stack).  ``None`` (the default) costs one attribute check
-        #: per event; used by :mod:`repro.invariants`.  Hooks must be
-        #: installed *before* ``run``/``run_until`` starts — the dispatch
-        #: loop snapshots them once at entry, so installing one from
-        #: inside an event action takes effect at the next run call.
-        self.trace_pre: Optional[Callable[[Event], None]] = None
-        self.trace_post: Optional[Callable[[Event], None]] = None
+        self._listeners: List[object] = []
+        #: topic -> the subscribed ``on_<topic>`` methods, in subscription
+        #: order.  Tuples, replaced (never mutated) on subscribe, so a
+        #: snapshot taken by a running loop or a publish in progress is
+        #: never affected by a subscription made meanwhile.
+        self._handlers: Dict[str, Tuple[Callable, ...]] = {}
         #: Optional profiling hook: ``profile(event, wall_s)`` runs after
         #: each action with its wall-clock duration in seconds.  ``None``
         #: (the default) keeps the dispatch loop free of any timing calls;
         #: used by :mod:`repro.obs` for per-event-type attribution.
         self.profile: Optional[Callable[[Event, float], None]] = None
+
+    # -- listeners ---------------------------------------------------------------
+
+    def subscribe(self, listener: object) -> None:
+        """Append ``listener`` to the simulator's listener list.
+
+        Every ``on_<topic>`` method ``listener`` defines is filed under
+        ``<topic>``, and every producer calls a topic's methods in
+        subscription order.  The dispatch loop itself produces
+        ``event_pre(event)`` (clock advanced, action not yet run) and
+        ``event_post(event)`` (action returned: a quiescent point).  It
+        reads them once at entry, so a subscription made from inside an
+        event action reaches those two topics at the next run call; every
+        other topic is read when it is published.
+        """
+        self._listeners.append(listener)
+        handlers = self._handlers
+        for name in dir(listener):
+            if name.startswith("on_"):
+                topic = name[3:]
+                method = getattr(listener, name)
+                handlers[topic] = handlers.get(topic, ()) + (method,)
+
+    @property
+    def listeners(self) -> Tuple[object, ...]:
+        """The subscribed listeners, in subscription order."""
+        return tuple(self._listeners)
+
+    def handlers(self, topic: str) -> Tuple[Callable, ...]:
+        """The methods subscribed to ``topic``, in subscription order.
+
+        For producers that build their message only when someone listens.
+        """
+        return self._handlers.get(topic, ())
+
+    def publish(self, topic: str, *args) -> None:
+        """Call every method subscribed to ``topic`` with ``args``."""
+        for handler in self._handlers.get(topic, ()):
+            handler(*args)
 
     @property
     def event_queue(self) -> EventQueue:
@@ -131,27 +168,43 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) but now is t={self._now}"
             )
+        self._dispatch("run_until", end_time, None)
+        self._now = end_time
+
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Drain the queue completely (or up to ``max_events`` events)."""
+        self._dispatch("run", math.inf, max_events)
+
+    def _dispatch(
+        self, caller: str, end_time: float, max_events: Optional[int]
+    ) -> None:
+        """The one dispatch loop: fire events in order while the next one
+        is due at or before ``end_time``, at most ``max_events`` of them."""
         if self._running:
-            raise SimulationError("run_until re-entered from an event action")
+            raise SimulationError(f"{caller} re-entered from an event action")
         self._running = True
         entered = self._events_processed
-        # Dispatch-loop fast path: the queue head test and pop are inlined
-        # (same steps as EventQueue.peek_time + EventQueue.pop, minus most
-        # of the method-call overhead) and the observation hooks are
-        # snapshotted once — per-event cost is what pays for 300k+ events
-        # per figure.  The cancelled-head filter stays a queue method so
-        # the filtering policy has exactly one implementation (it is also
-        # the seam the mutation-smoke suite sabotages to prove the
-        # invariant checker catches cancelled events firing).
+        limit = sys.maxsize if max_events is None else entered + max_events
+        # Fast path: the queue head test and pop are inlined (same steps as
+        # EventQueue.peek_time + EventQueue.pop, minus most of the
+        # method-call overhead) and the event topics are snapshotted once
+        # (None when nobody listens), so with no listener an event costs
+        # one ``is None`` test per topic; per-event cost is what pays for
+        # 300k+ events per figure.  ``limit`` stays an int: an int-float
+        # comparison per event is measurably slower.
+        # The cancelled-head filter stays a queue method so the filtering
+        # policy has exactly one implementation (it is also the seam the
+        # mutation-smoke suite sabotages to prove the invariant checker
+        # catches cancelled events firing).
         queue = self._queue
         heap = queue._heap
         drop_cancelled = queue._drop_cancelled_head
-        trace_pre = self.trace_pre
-        trace_post = self.trace_post
+        pre = self._handlers.get("event_pre")
+        post = self._handlers.get("event_post")
         profile = self.profile
         processed = entered
         try:
-            while True:
+            while processed < limit:
                 drop_cancelled()
                 if not heap or heap[0][0] > end_time:
                     break
@@ -160,59 +213,18 @@ class Simulator:
                 event._queue = None
                 self._now = event.time
                 processed += 1
-                if trace_pre is not None:
-                    trace_pre(event)
+                if pre is not None:
+                    for handler in pre:
+                        handler(event)
                 if profile is None:
                     event.action()
                 else:
                     started = perf_counter()
                     event.action()
                     profile(event, perf_counter() - started)
-                if trace_post is not None:
-                    trace_post(event)
-            self._now = end_time
-        finally:
-            self._running = False
-            self._events_processed = processed
-            global _TOTAL_EVENTS
-            _TOTAL_EVENTS += processed - entered
-
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Drain the queue completely (or up to ``max_events`` events)."""
-        if self._running:
-            raise SimulationError("run re-entered from an event action")
-        self._running = True
-        fired = 0
-        entered = self._events_processed
-        # Same inlined fast path as run_until (see comment there).
-        queue = self._queue
-        heap = queue._heap
-        drop_cancelled = queue._drop_cancelled_head
-        trace_pre = self.trace_pre
-        trace_post = self.trace_post
-        profile = self.profile
-        processed = entered
-        try:
-            while queue._live > 0:
-                if max_events is not None and fired >= max_events:
-                    break
-                drop_cancelled()
-                event = heappop(heap)[3]
-                queue._live -= 1
-                event._queue = None
-                self._now = event.time
-                processed += 1
-                if trace_pre is not None:
-                    trace_pre(event)
-                if profile is None:
-                    event.action()
-                else:
-                    started = perf_counter()
-                    event.action()
-                    profile(event, perf_counter() - started)
-                if trace_post is not None:
-                    trace_post(event)
-                fired += 1
+                if post is not None:
+                    for handler in post:
+                        handler(event)
         finally:
             self._running = False
             self._events_processed = processed

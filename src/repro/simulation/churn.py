@@ -13,14 +13,19 @@ tree protocol:
   service delay/stretch, and the probe member's time series are collected
   into :class:`~repro.metrics.collectors.ChurnMetrics`.
 
-A ``disruption_observer`` hook receives every failure event (used by the
-recovery simulation to price starvation episodes).
+The run publishes its failure lifecycle on the simulator's listener list
+(:meth:`~repro.sim.engine.Simulator.subscribe`): ``disruption(event)``
+for every abrupt failure, ``departure(now, node)`` for every departure
+and ``reattach(now, orphan)`` whenever an orphan is placed again.  The
+recovery simulation prices starvation episodes off these, and the
+invariant checker, the fault resilience metrics and :mod:`repro.obs`
+listen the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol as TypingProtocol
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +60,7 @@ CHURN_CAUSE = "churn"
 
 @dataclass(frozen=True)
 class DisruptionEvent:
-    """One abrupt-failure event, as seen by a ``disruption_observer``.
+    """One abrupt failure, as published on the ``disruption`` topic.
 
     Delivered just before the departed member is dismantled, so
     ``failed`` still carries its children and subtree.  ``cause``
@@ -75,12 +80,6 @@ class DisruptionEvent:
     #: of a stub-domain outage).  Recovery sources drawn from this set are
     #: dead at repair time even if they have not been dismantled yet.
     co_failed_ids: frozenset = frozenset()
-
-
-class DisruptionObserver(TypingProtocol):
-    """Callback protocol for failure events (see RecoverySimulation)."""
-
-    def __call__(self, event: DisruptionEvent) -> None: ...
 
 
 @dataclass
@@ -183,9 +182,7 @@ class ChurnSimulation:
         oracle: Optional[DelayOracle] = None,
         workload: Optional[ChurnWorkload] = None,
         probe: Optional[Session] = None,
-        disruption_observer: Optional[DisruptionObserver] = None,
-        departure_observer: Optional[Callable[[float, OverlayNode], None]] = None,
-        reattach_observer: Optional[Callable[[float, OverlayNode], None]] = None,
+        listeners: Sequence[object] = (),
         member_setup: Optional[Callable[[OverlayNode], None]] = None,
         tree_samples: int = 10,
         probe_sample_interval_s: float = 60.0,
@@ -193,7 +190,11 @@ class ChurnSimulation:
         graceful_departure_fraction: float = 0.0,
         membership_mode: str = "abstract",
     ):
-        """``check_invariants`` enables runtime invariant checking (see
+        """``listeners`` are subscribed to the simulator in order (see
+        :meth:`~repro.sim.engine.Simulator.subscribe`), after the run's
+        own metrics and before the invariant checker.
+
+        ``check_invariants`` enables runtime invariant checking (see
         :mod:`repro.invariants`): ``True`` attaches a strict
         :class:`~repro.invariants.InvariantChecker` that raises on the
         first violation; passing a checker instance uses it as configured
@@ -263,21 +264,9 @@ class ChurnSimulation:
             config.horizon_s,
             mean_lifetime_s=config.workload.mean_lifetime_s,
         )
-        if hasattr(self.protocol, "overhead_callback"):
-            self.protocol.overhead_callback = (
-                lambda n: self.metrics.record_optimization_reconnections(
-                    self.sim.now, n
-                )
-            )
-        self.disruption_observer = disruption_observer
-        self.departure_observer = departure_observer
-        #: Called with ``(time, orphan)`` whenever a member re-attaches
-        #: after losing its parent (used for time-to-repair accounting).
-        self.reattach_observer = reattach_observer
         self.member_setup = member_setup
         self.tree_samples = tree_samples
         self.probe_sample_interval_s = probe_sample_interval_s
-        self.check_invariants = check_invariants
         if not 0.0 <= graceful_departure_fraction <= 1.0:
             raise SimulationError(
                 f"graceful_departure_fraction must be in [0, 1], got "
@@ -292,8 +281,13 @@ class ChurnSimulation:
         self.probe_delay_ms: Optional[TimeSeries] = None
         self._pending_rejoins: Dict[int, Event] = {}
         self._ran = False
-        #: The attached checker, or None (set last: it observes everything
-        #: constructed above, including the protocol's switch surface).
+        # The run's own metrics listen first (``on_overhead``), then the
+        # caller's listeners, then the checker (attached last: it observes
+        # everything constructed above, including the protocol).
+        self.sim.subscribe(self)
+        for listener in listeners:
+            self.sim.subscribe(listener)
+        #: The attached checker, or None.
         self.invariant_checker = None
         if check_invariants:
             from ..invariants import InvariantChecker
@@ -321,9 +315,13 @@ class ChurnSimulation:
         self.metrics.record_population(self.workload.horizon_s, self.tree.num_attached)
         if self.invariant_checker is not None:
             self.invariant_checker.finalize()
-        elif self.check_invariants:
-            self.tree.check_invariants()
         return self._result()
+
+    def on_overhead(self, reconnections: int) -> None:
+        """The ``overhead`` topic: a protocol's tree optimization just
+        reconnected ``reconnections`` members (ROST switches and
+        promotions, relaxed-ordered evictions)."""
+        self.metrics.record_optimization_reconnections(self.sim.now, reconnections)
 
     # -- event handlers -----------------------------------------------------------------
 
@@ -415,20 +413,21 @@ class ChurnSimulation:
         abrupt = was_attached and not graceful
         descendants = node.descendants() if abrupt else []
         failed_parent = node.parent
-        if abrupt and self.disruption_observer is not None:
-            # The observer sees the overlay *before* the departed member is
+        listening = self.sim.handlers("disruption") if abrupt else ()
+        if listening:
+            # Listeners see the overlay *before* the departed member is
             # dismantled: recovery-group selection and loss-correlation
             # evaluation both depend on the pre-failure structure.
-            self.disruption_observer(
-                DisruptionEvent(
-                    time=now,
-                    failed=node,
-                    in_window=self.metrics.in_window(now),
-                    cause=cause,
-                    subtree_size=1 + len(descendants),
-                    co_failed_ids=co_failed_ids,
-                )
+            event = DisruptionEvent(
+                time=now,
+                failed=node,
+                in_window=self.metrics.in_window(now),
+                cause=cause,
+                subtree_size=1 + len(descendants),
+                co_failed_ids=co_failed_ids,
             )
+            for handler in listening:
+                handler(event)
         orphans = self.tree.remove_departed(node)
 
         if abrupt:
@@ -449,8 +448,7 @@ class ChurnSimulation:
                 node.optimization_reconnections,
                 full_observation=node.join_time >= 0.0,
             )
-        if self.departure_observer is not None:
-            self.departure_observer(now, node)
+        self.sim.publish("departure", now, node)
         protocol_cfg = self.config.protocol
         grandparent = node.rejoin_hint if not was_attached else None
         # Proactive rescue plans (if enabled): orphans whose precomputed
@@ -486,8 +484,7 @@ class ChurnSimulation:
                 if self.protocol.place(orphan, rejoin=True):
                     orphan.reconnections += 1
                     self.metrics.record_failure_reconnection(now)
-                    if self.reattach_observer is not None:
-                        self.reattach_observer(now, orphan)
+                    self.sim.publish("reattach", now, orphan)
                     continue
                 # No position available right now — degrade to the normal
                 # recovery path (without counting disruptions: the parent
@@ -509,8 +506,7 @@ class ChurnSimulation:
             orphan.reconnections += 1
             self.metrics.record_failure_reconnection(now)
             self.metrics.record_population(now, self.tree.num_attached)
-            if self.reattach_observer is not None:
-                self.reattach_observer(now, orphan)
+            self.sim.publish("reattach", now, orphan)
             return
         self._pending_rejoins[orphan.member_id] = self.sim.schedule_in(
             self.config.protocol.rejoin_s, lambda: self._on_rejoin(orphan)

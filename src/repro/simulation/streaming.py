@@ -182,7 +182,12 @@ class RecoveryRunResult:
 
 
 class RecoveryObserver:
-    """Disruption/departure hooks evaluating a grid of recovery schemes."""
+    """Evaluates a grid of recovery schemes off a churn run's
+    ``disruption`` and ``departure`` topics.
+
+    Each priced episode is published in turn as ``episode_pre`` and
+    ``episode_post`` (see :meth:`_apply_episode`).
+    """
 
     def __init__(
         self,
@@ -399,6 +404,16 @@ class RecoveryObserver:
         gap_packets: int,
         backfill: Optional[BackfillSpec] = None,
     ) -> None:
+        """Price one episode of ``members`` under ``scheme``.
+
+        ``episode_pre`` and ``episode_post`` are published before and
+        after the pricing, each with this observer followed by the
+        arguments, so a listener can measure what the episode added to
+        ``results[scheme.name]``.
+        """
+        episode = (self, scheme, now, members, sources, gap_packets, backfill)
+        publish = self.churn.sim.publish
+        publish("episode_pre", *episode)
         result = self.results[scheme.name]
         cache: Dict[float, object] = {}
         for member in members:
@@ -427,6 +442,7 @@ class RecoveryObserver:
             result.coverage_sum += outcome.coverage
             result.gap_packets_total += outcome.gap_packets
             result.repaired_packets_total += outcome.repaired_in_time
+        publish("episode_post", *episode)
 
     def _state_for(self, scheme: RecoveryScheme, member: OverlayNode) -> PlaybackState:
         key = (scheme.name, member.member_id)
@@ -487,16 +503,9 @@ class RecoverySimulation:
             view_size=config.protocol.partial_view_size,
         )
         self.churn = ChurnSimulation(
-            config,
-            protocol_factory,
-            disruption_observer=self.observer.on_disruption,
-            departure_observer=self.observer.on_departure,
-            **churn_kwargs,
+            config, protocol_factory, listeners=[self.observer], **churn_kwargs
         )
         self.observer.churn = self.churn
-        if self.churn.invariant_checker is not None:
-            # Extend the checker into the recovery layer (episode pricing).
-            self.churn.invariant_checker.attach_recovery(self.observer)
 
     def run(self) -> RecoveryRunResult:
         churn_result = self.churn.run()

@@ -106,3 +106,20 @@ def make_node(member_id, bandwidth=2.0, cap=None, join_time=0.0, underlay=0, is_
 @pytest.fixture()
 def node_factory():
     return make_node
+
+
+def repair_end_approx(simulated):
+    """``pytest.approx`` of a packet-simulated ``repair_end_s``, at the
+    tolerance the closed-form model must meet.
+
+    The packet simulator reaches each group-repair arrival through
+    chained ``1 / rate`` steps: at most ``gap`` additions, each rounding
+    by up to 2**-53 of the running time.  The closed form rounds
+    ``start + order / rate`` twice.  So the models may drift apart by
+    about (gap + 2) * 2**-53 <= (gap + 1) * 2**-52 relative, which only
+    exceeds abs=1e-6 past about 1e7 s.  Backfill adds no drift: both
+    models end it at ``start_s + count / rate_pps``, the same two
+    roundings.
+    """
+    rel = (simulated.gap_packets + 1) * 2.0**-52
+    return pytest.approx(simulated.repair_end_s, rel=rel, abs=1e-6)

@@ -70,7 +70,7 @@ def kernel_checker(**checker_kwargs):
     sim = Simulator()
     tree = MulticastTree(make_node(0, bandwidth=10.0, cap=10, is_root=True))
     checker = InvariantChecker(strict=False, **checker_kwargs)
-    checker.attach(SimpleNamespace(sim=sim, tree=tree, disruption_observer=None))
+    checker.attach(SimpleNamespace(sim=sim, tree=tree))
     return sim, checker
 
 

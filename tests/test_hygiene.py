@@ -134,6 +134,12 @@ def _changelog_latest_release() -> str:
 
 
 def test_pyproject_version_matches_changelog():
-    """The released version is written in exactly two places; they must
-    agree or the sdist will claim a version with no release notes."""
+    """The released version is written in three places; they must agree
+    or the sdist will claim a version with no release notes."""
     assert _pyproject_version() == _changelog_latest_release()
+
+
+def test_package_version_matches_pyproject():
+    import repro
+
+    assert repro.__version__ == _pyproject_version()

@@ -126,7 +126,7 @@ def test_violation_str_and_as_dict():
 def bare_target():
     sim = Simulator()
     tree = MulticastTree(make_node(0, bandwidth=10.0, cap=10, is_root=True))
-    return SimpleNamespace(sim=sim, tree=tree, disruption_observer=None)
+    return SimpleNamespace(sim=sim, tree=tree)
 
 
 def test_checker_rejects_bad_configuration():

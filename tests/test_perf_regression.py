@@ -58,7 +58,8 @@ def test_chain_throughput_vs_pr1_baseline(bench):
 
 def test_disabled_attachment_installs_no_hooks(monkeypatch):
     """The <3% budget is enforced structurally first: with every channel
-    off, attach_engine must leave the engine's fast path untouched."""
+    off, attach_engine must leave the engine's fast path untouched (no
+    listener subscribed, no profile hook)."""
     for name in (
         "REPRO_OBS_TRACE",
         "REPRO_OBS_TRACE_EVENTS",
@@ -68,8 +69,9 @@ def test_disabled_attachment_installs_no_hooks(monkeypatch):
         monkeypatch.delenv(name, raising=False)
     sim = Simulator()
     ObsAttachment().attach_engine(sim)
-    assert sim.trace_pre is None
-    assert sim.trace_post is None
+    assert sim.listeners == ()
+    assert sim.handlers("event_pre") == ()
+    assert sim.handlers("event_post") == ()
     assert sim.profile is None
 
 

@@ -1,5 +1,7 @@
 """Centralized relaxed bandwidth-/time-ordered protocols."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.protocols.relaxed_bo import RelaxedBandwidthOrderedProtocol
@@ -66,7 +68,7 @@ class TestRelaxedBandwidthOrdered:
     def test_overhead_callback_routed(self, harness):
         counted = []
         proto = RelaxedBandwidthOrderedProtocol(harness.ctx)
-        proto.overhead_callback = counted.append
+        harness.sim.subscribe(SimpleNamespace(on_overhead=counted.append))
         a = harness.new_member(bandwidth=1.0)
         b = harness.new_member(bandwidth=1.5)
         strong = harness.new_member(bandwidth=9.0)

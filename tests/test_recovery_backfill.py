@@ -1,11 +1,12 @@
 """Post-rejoin backfill from the new parent's buffer."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import RecoveryError
 from repro.recovery.episode import BackfillSpec, RepairSource, starvation_episode
 from repro.recovery.packet_sim import simulate_episode
+from tests.conftest import repair_end_approx
 
 
 def src(rate, has_data=True, member_id=1):
@@ -89,6 +90,16 @@ def test_validation():
     backfill_rate=st.floats(0.0, 9.0),
     cutoff=st.integers(0, 200),
 )
+# A near-zero rate stretches repair to ~6e9 s, where the packet sim's
+# chained additions land 2 ULPs off the closed form.
+@example(
+    rates=[3.179946746050309e-09],
+    buffer_s=1.0,
+    gap=19,
+    striped=False,
+    backfill_rate=0.0,
+    cutoff=0,
+)
 def test_models_agree_with_backfill(rates, buffer_s, gap, striped, backfill_rate, cutoff):
     sources = [src(r, member_id=i + 1) for i, r in enumerate(rates)]
     spec = BackfillSpec(start_s=15.0, rate_pps=backfill_rate, cutoff_seq=cutoff)
@@ -97,4 +108,4 @@ def test_models_agree_with_backfill(rates, buffer_s, gap, striped, backfill_rate
     assert vec.missed_packets == sim.missed_packets
     assert vec.repaired_in_time == sim.repaired_in_time
     assert vec.starving_s == pytest.approx(sim.starving_s)
-    assert vec.repair_end_s == pytest.approx(sim.repair_end_s, abs=1e-6)
+    assert vec.repair_end_s == repair_end_approx(sim)

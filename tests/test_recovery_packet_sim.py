@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import RecoveryError
 from repro.recovery.episode import RepairSource, starvation_episode
 from repro.recovery.packet_sim import EpisodeSimulator, simulate_episode
+from tests.conftest import repair_end_approx
 
 
 def src(rate, has_data=True, member_id=1, delay=10.0):
@@ -33,16 +34,7 @@ def assert_equivalent(vectorised, simulated):
     assert vectorised.missed_packets == simulated.missed_packets
     assert vectorised.starving_s == pytest.approx(simulated.starving_s)
     assert vectorised.coverage == pytest.approx(simulated.coverage)
-    # The packet simulator reaches each arrival time through chained
-    # ``1 / rate`` steps: at most ``gap`` additions, each rounding by up
-    # to 2**-53 of the running time.  The closed form rounds
-    # ``start + order / rate`` twice.  So the models may drift apart by
-    # about (gap + 2) * 2**-53 <= (gap + 1) * 2**-52 relative, which only
-    # exceeds abs=1e-6 past about 1e7 s.
-    rel = (simulated.gap_packets + 1) * 2.0**-52
-    assert vectorised.repair_end_s == pytest.approx(
-        simulated.repair_end_s, rel=rel, abs=1e-6
-    )
+    assert vectorised.repair_end_s == repair_end_approx(simulated)
 
 
 class TestEquivalence:

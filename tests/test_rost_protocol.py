@@ -1,5 +1,7 @@
 """ROST switching, promotion, succession and guards."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ class TestSwitching:
     def test_overhead_counted_per_affected_member(self, harness):
         counts = []
         proto = RostProtocol(harness.ctx, promote_into_spare=False)
-        proto.overhead_callback = counts.append
+        harness.sim.subscribe(SimpleNamespace(on_overhead=counts.append))
         a, b = build_chain(harness, proto)
         harness.sim.run_until(500.0)
         # a swap touches at least the two principals

@@ -1,5 +1,7 @@
 """End-to-end churn simulation runs (small populations)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import SimulationError
@@ -121,7 +123,7 @@ def test_disruption_observer_sees_prefailure_state(shared_infra):
         PROTOCOLS["min-depth"],
         topology=topo,
         oracle=oracle,
-        disruption_observer=observer,
+        listeners=[SimpleNamespace(on_disruption=observer)],
     )
     sim.run()
     assert observed, "expected at least one attached failure"
@@ -136,7 +138,11 @@ def test_departure_observer_called_for_each_departure(shared_infra):
         PROTOCOLS["min-depth"],
         topology=topo,
         oracle=oracle,
-        departure_observer=lambda now, node: departed.append(node.member_id),
+        listeners=[
+            SimpleNamespace(
+                on_departure=lambda now, node: departed.append(node.member_id)
+            )
+        ],
     )
     result = sim.run()
     assert len(departed) > 0
