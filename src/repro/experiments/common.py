@@ -386,8 +386,3 @@ def captured_churn_obs(key: tuple) -> Optional[ObsUnit]:
 def captured_recovery_obs(key: tuple) -> Optional[ObsUnit]:
     """The ObsUnit captured for a cached recovery run (worker side)."""
     return _recovery_obs.get(key)
-
-
-def scaled_sizes(scale: float, sizes: Sequence[int] = PAPER_SIZES) -> Tuple[int, ...]:
-    """The paper's size axis (populations are scaled inside paper_config)."""
-    return tuple(sizes)

@@ -1,17 +1,23 @@
 """Registered experiments around the fault-injection campaign subsystem.
 
 ``faults_scenario`` runs one (scenario, protocol, seed) unit — it is the
-picklable job the campaign fans out over worker processes.
-``faults_campaign`` runs a whole campaign spec (the built-in example by
-default) and emits the merged resilience report; it also backs the
+picklable job the campaign fans out over worker processes, also for the
 dedicated ``python -m repro.experiments faults_campaign`` subcommand.
+``faults_campaign`` runs a whole campaign spec (the built-in example by
+default) and emits the merged resilience report.  :func:`register_campaign`
+builds it, and the K-tree ``multitree_resilience``, from one body.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..faults.campaign import resolve_campaign, run_campaign, run_scenario
+from ..faults.campaign import (
+    CampaignSpec,
+    resolve_campaign,
+    run_campaign,
+    run_scenario,
+)
 from ..metrics.report import render_table
 from .registry import ExperimentResult, register
 
@@ -70,36 +76,47 @@ def run_faults_scenario(
     )
 
 
-@register(
+def register_campaign(experiment_id: str, title: str, spec_class, data=None):
+    """Register ``experiment_id``: one whole campaign of ``spec_class``
+    (the built-in default unless a ``spec`` is given), reported by
+    :func:`~repro.faults.campaign.run_campaign`.  ``data`` narrows the
+    report data the experiment returns."""
+
+    @register(experiment_id, title, "Extension")
+    def run(
+        scale: float = 1.0,
+        seed: int = 42,
+        spec=None,
+        jobs: Optional[int] = 1,
+        job_timeout: Optional[float] = None,
+        check_invariants: bool = False,
+        **_,
+    ) -> ExperimentResult:
+        campaign = spec_class.resolve(spec)
+        report = run_campaign(
+            campaign,
+            scale=scale,
+            seed=seed,
+            jobs=jobs,
+            timeout_s=job_timeout,
+            check_invariants=check_invariants,
+        )
+        return ExperimentResult(
+            experiment_id=experiment_id,
+            title=f"{campaign.TITLE} {campaign.name!r}",
+            table=report.table,
+            data=report.data if data is None else data(report.data),
+            # The campaign fans its own jobs out (each under a nested
+            # capture), so the merged artifacts ride the report, not the
+            # ambient capture — forward them onto the experiment result.
+            artifacts=dict(report.artifacts),
+        )
+
+    return run
+
+
+register_campaign(
     "faults_campaign",
     "Fault-injection campaign: correlated-failure resilience report",
-    "Extension",
+    CampaignSpec,
 )
-def run_faults_campaign(
-    scale: float = 1.0,
-    seed: int = 42,
-    spec=None,
-    jobs: Optional[int] = 1,
-    job_timeout: Optional[float] = None,
-    check_invariants: bool = False,
-    **_,
-) -> ExperimentResult:
-    campaign = resolve_campaign(spec)
-    report = run_campaign(
-        campaign,
-        scale=scale,
-        seed=seed,
-        jobs=jobs,
-        timeout_s=job_timeout,
-        check_invariants=check_invariants,
-    )
-    return ExperimentResult(
-        experiment_id="faults_campaign",
-        title=f"Fault campaign {campaign.name!r}",
-        table=report.table,
-        data=report.data,
-        # The campaign fans its own jobs out (each under a nested
-        # capture), so the merged artifacts ride the report, not the
-        # ambient capture — forward them onto the experiment result.
-        artifacts=dict(report.artifacts),
-    )

@@ -1,12 +1,12 @@
 """Registered experiments around the multi-tree resilience subsystem.
 
 ``multitree_scenario`` runs one (scenario, protocol, K, seed) unit — the
-picklable job the campaign fans out over worker processes.
+picklable job the campaign fans out over worker processes, also for the
+dedicated ``python -m repro.experiments multitree_campaign`` subcommand.
 ``multitree_resilience`` runs a whole campaign spec (the built-in K-tree
 grid by default) and reports the seed-averaged summary; it is the
 surface the ``multitree.json`` golden baseline gates (blackout rate
-decreasing in K under the crash scenario).  Both also back the dedicated
-``python -m repro.experiments multitree_campaign`` subcommand.
+decreasing in K under the crash scenario).
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from typing import Optional
 
 from ..metrics.report import render_table
 from ..multitree.campaign import (
+    MultiTreeCampaignSpec,
     gate_data,
     resolve_multitree_campaign,
-    run_campaign,
     run_scenario,
 )
+from .faults_campaign import register_campaign
 from .registry import ExperimentResult, register
 
 
@@ -72,38 +73,14 @@ def run_multitree_scenario(
     )
 
 
-@register(
+register_campaign(
     "multitree_resilience",
     "Multi-tree resilience campaign: blackout/quality vs stripe count K",
-    "Extension",
+    MultiTreeCampaignSpec,
+    # The gated data is the seed-averaged summary only: per-run records
+    # carry seed-shaped leaves (fault victim lists, possibly-NaN
+    # diagnostics) that would make baseline paths ragged.  The full
+    # per-run dump is available via the ``multitree_campaign``
+    # subcommand's --json.
+    data=gate_data,
 )
-def run_multitree_resilience(
-    scale: float = 1.0,
-    seed: int = 42,
-    spec=None,
-    jobs: Optional[int] = 1,
-    job_timeout: Optional[float] = None,
-    check_invariants: bool = False,
-    **_,
-) -> ExperimentResult:
-    campaign = resolve_multitree_campaign(spec)
-    report = run_campaign(
-        campaign,
-        scale=scale,
-        seed=seed,
-        jobs=jobs,
-        timeout_s=job_timeout,
-        check_invariants=check_invariants,
-    )
-    return ExperimentResult(
-        experiment_id="multitree_resilience",
-        title=f"Multi-tree campaign {campaign.name!r}",
-        # The gated data is the seed-averaged summary only: per-run
-        # records carry seed-shaped leaves (fault victim lists, possibly-
-        # NaN diagnostics) that would make baseline paths ragged.  The
-        # full per-run dump is available via the ``multitree_campaign``
-        # subcommand's --json.
-        table=report.table,
-        data=gate_data(report.data),
-        artifacts=dict(report.artifacts),
-    )

@@ -201,9 +201,9 @@ class ExperimentPool:
 
         Returns ``(units_by_job, unique_units)``.  ``units_by_job[i]`` is
         the unit list job ``i`` declared, or ``None`` for legacy jobs
-        (campaign drivers, direct-sim extensions, declarers that do not
-        understand the job's kwargs) which keep the whole-job path.
-        ``unique_units`` holds each distinct unit once, in first-appearance
+        (whole campaigns, direct-sim extensions) which keep the whole-job
+        path; a declarer that raises fails the plan.  ``unique_units``
+        holds each distinct unit once, in first-appearance
         order — the cross-figure dedup that makes ``all --jobs N`` simulate
         each (protocol, size, seed) run exactly once.
 
@@ -219,12 +219,9 @@ class ExperimentPool:
         unique_units: List[units_mod.SimulationUnit] = []
         seen = set()
         for job in jobs:
-            try:
-                declared = units_mod.units_for(
-                    job.experiment_id, job.scale, job.seed, **dict(job.kwargs)
-                )
-            except TypeError:
-                declared = None
+            declared = units_mod.units_for(
+                job.experiment_id, job.scale, job.seed, **dict(job.kwargs)
+            )
             if declared is None:
                 units_by_job.append(None)
                 continue

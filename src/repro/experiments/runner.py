@@ -30,8 +30,27 @@ import tempfile
 import time
 from typing import List, Optional
 
+from ..faults.campaign import CampaignSpec, run_campaign
+from ..multitree.campaign import MultiTreeCampaignSpec
 from .pool import ExperimentJob, resolve_jobs, run_jobs
 from .registry import get_experiment, list_experiments
+
+#: The campaign subcommands: spec class, help, the built-in default spec
+#: and the grid it fans out.
+_CAMPAIGNS = {
+    "faults_campaign": (
+        CampaignSpec,
+        "run a fault-injection campaign (see docs/faults.md)",
+        "the built-in stub-outage example campaign",
+        "(scenario x protocol x seed)",
+    ),
+    "multitree_campaign": (
+        MultiTreeCampaignSpec,
+        "run a K-tree resilience campaign (see docs/multitree.md)",
+        "the built-in K-tree resilience grid",
+        "(scenario x protocol x K x seed)",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,87 +69,44 @@ def _build_parser() -> argparse.ArgumentParser:
     everything = sub.add_parser("all", help="run every experiment")
     _add_run_arguments(everything)
 
-    faults = sub.add_parser(
-        "faults_campaign",
-        help="run a fault-injection campaign (see docs/faults.md)",
-    )
-    faults.add_argument(
-        "spec_path",
-        nargs="?",
-        default=None,
-        metavar="spec",
-        help="campaign spec file (.json or .toml) or inline JSON object "
-        "(default: the built-in stub-outage example campaign)",
-    )
-    faults.add_argument(
-        "--spec",
-        type=str,
-        default=None,
-        help="alternative to the positional spec argument",
-    )
-    faults.add_argument("--scale", type=float, default=1.0)
-    faults.add_argument("--seed", type=int, default=42)
-    faults.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="run every unit under the runtime invariant checker "
-        "(see docs/invariants.md); violations are reported in the "
-        "summary and make the command exit non-zero",
-    )
-    faults.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the (scenario x protocol x seed) grid; "
-        "reports are byte-identical at any value",
-    )
-    faults.add_argument("--job-timeout", type=float, default=None)
-    faults.add_argument("--out", type=str, default=None)
-    faults.add_argument("--json", type=str, default=None)
-    _add_validate_argument(faults)
-    _add_obs_arguments(faults)
-    _add_store_arguments(faults)
-
-    multitree = sub.add_parser(
-        "multitree_campaign",
-        help="run a K-tree resilience campaign (see docs/multitree.md)",
-    )
-    multitree.add_argument(
-        "spec_path",
-        nargs="?",
-        default=None,
-        metavar="spec",
-        help="campaign spec file (.json or .toml) or inline JSON object "
-        "(default: the built-in K-tree resilience grid)",
-    )
-    multitree.add_argument(
-        "--spec",
-        type=str,
-        default=None,
-        help="alternative to the positional spec argument",
-    )
-    multitree.add_argument("--scale", type=float, default=1.0)
-    multitree.add_argument("--seed", type=int, default=42)
-    multitree.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="run every stripe simulation under the non-strict runtime "
-        "invariant checker; violations are reported in the summary and "
-        "make the command exit non-zero",
-    )
-    multitree.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the (scenario x protocol x K x seed) "
-        "grid; reports are byte-identical at any value",
-    )
-    multitree.add_argument("--job-timeout", type=float, default=None)
-    multitree.add_argument("--out", type=str, default=None)
-    multitree.add_argument("--json", type=str, default=None)
-    _add_validate_argument(multitree)
-    _add_obs_arguments(multitree)
-    _add_store_arguments(multitree)
+    for command, (_, help_text, default, grid) in _CAMPAIGNS.items():
+        campaign = sub.add_parser(command, help=help_text)
+        campaign.add_argument(
+            "spec_path",
+            nargs="?",
+            default=None,
+            metavar="spec",
+            help="campaign spec file (.json or .toml) or inline JSON object "
+            f"(default: {default})",
+        )
+        campaign.add_argument(
+            "--spec",
+            type=str,
+            default=None,
+            help="alternative to the positional spec argument",
+        )
+        campaign.add_argument("--scale", type=float, default=1.0)
+        campaign.add_argument("--seed", type=int, default=42)
+        campaign.add_argument(
+            "--check-invariants",
+            action="store_true",
+            help="run every simulation under the non-strict runtime "
+            "invariant checker (see docs/invariants.md); violations are "
+            "reported in the summary and make the command exit non-zero",
+        )
+        campaign.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help=f"worker processes for the {grid} grid; reports are "
+            "byte-identical at any value",
+        )
+        campaign.add_argument("--job-timeout", type=float, default=None)
+        campaign.add_argument("--out", type=str, default=None)
+        campaign.add_argument("--json", type=str, default=None)
+        _add_validate_argument(campaign)
+        _add_obs_arguments(campaign)
+        _add_store_arguments(campaign)
     return parser
 
 
@@ -289,11 +265,6 @@ class _Emitter:
             _atomic_write(self._path, self._content)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    """One-shot emit kept for backward compatibility (tests, scripts)."""
-    _Emitter(out_path).emit(text)
-
-
 def _iter_results(batch: List[ExperimentJob], jobs: int, timeout_s):
     """Yield results in submission order.
 
@@ -334,8 +305,11 @@ class _ArtifactCollector:
             from ..obs.trace import write_trace_lines
 
             write_trace_lines(args.trace, self.trace_lines)
-            emitter.emit(
-                f"[trace: {len(self.trace_lines)} records -> {args.trace}]"
+            # stderr, like the [store] line: a traced run's --out must
+            # equal an untraced run's byte for byte.
+            print(
+                f"[trace: {len(self.trace_lines)} records -> {args.trace}]",
+                file=sys.stderr,
             )
         if getattr(args, "metrics", False):
             from ..obs.metrics import aggregate_units, render_metrics_section
@@ -583,10 +557,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     saved_env = _set_obs_environment(args)
     saved_store = _set_store_environment(args)
     try:
-        if args.command == "faults_campaign":
-            return _run_faults_campaign(args)
-        if args.command == "multitree_campaign":
-            return _run_multitree_campaign(args)
+        if args.command in _CAMPAIGNS:
+            return _run_campaign(args)
         if args.command == "run":
             get_experiment(args.experiment_id)  # fail fast on unknown ids
             return _run_ids([args.experiment_id], args)
@@ -596,11 +568,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         _restore_environment(saved_env)
 
 
-def _run_faults_campaign(args) -> int:
-    from ..faults.campaign import resolve_campaign, run_campaign
-
-    spec = args.spec_path if args.spec_path is not None else args.spec
-    campaign = resolve_campaign(spec)
+def _run_campaign(args) -> int:
+    spec_class = _CAMPAIGNS[args.command][0]
+    campaign = spec_class.resolve(
+        args.spec_path if args.spec_path is not None else args.spec
+    )
     recorder = _StoreRunRecorder()
     report = run_campaign(
         campaign,
@@ -626,53 +598,8 @@ def _run_faults_campaign(args) -> int:
     if args.json:
         _atomic_write(args.json, json.dumps(report.data, indent=2, default=str))
     recorder.finish(
-        name=f"faults_campaign {campaign.name}",
-        command="repro.experiments faults_campaign",
-        params={
-            "spec": campaign.to_spec(),
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "check_invariants": args.check_invariants,
-        },
-        report_text=emitter.session_content,
-        json_data=report.data,
-    )
-    return 1 if (violations or not validated) else 0
-
-
-def _run_multitree_campaign(args) -> int:
-    from ..multitree.campaign import resolve_multitree_campaign, run_campaign
-
-    spec = args.spec_path if args.spec_path is not None else args.spec
-    campaign = resolve_multitree_campaign(spec)
-    recorder = _StoreRunRecorder()
-    report = run_campaign(
-        campaign,
-        scale=args.scale,
-        seed=args.seed,
-        jobs=args.jobs,
-        timeout_s=args.job_timeout,
-        check_invariants=args.check_invariants,
-    )
-    emitter = _Emitter(args.out)
-    emitter.emit(report.table)
-    violations = report.data.get("invariant_violations")
-    if args.check_invariants:
-        runs = len(report.data.get("runs", []))
-        emitter.emit(
-            f"invariants: {violations or 0} violation(s) across {runs} "
-            f"checked run(s)"
-        )
-    collector = _ArtifactCollector()
-    collector.collect(report)
-    collector.emit_sections(args, emitter, report.data)
-    validated = _run_validation(args, emitter, report.data)
-    if args.json:
-        _atomic_write(args.json, json.dumps(report.data, indent=2, default=str))
-    recorder.finish(
-        name=f"multitree_campaign {campaign.name}",
-        command="repro.experiments multitree_campaign",
+        name=f"{args.command} {campaign.name}",
+        command=f"repro.experiments {args.command}",
         params={
             "spec": campaign.to_spec(),
             "scale": args.scale,

@@ -28,7 +28,6 @@ from .campaign import (
     CampaignReport,
     CampaignSpec,
     ScenarioSpec,
-    build_report,
     load_campaign,
     resolve_campaign,
     run_campaign,
@@ -53,7 +52,6 @@ __all__ = [
     "ScenarioSpec",
     "CampaignReport",
     "DEFAULT_CAMPAIGN_SPEC",
-    "build_report",
     "load_campaign",
     "resolve_campaign",
     "run_campaign",

@@ -1,27 +1,37 @@
-"""Fault-injection campaigns: (scenario x protocol x seed) fan-out.
+"""Campaigns: a grid of (scenario x protocol x ... x seed) runs and one report.
 
 A campaign spec names a set of *scenarios* (fault lists), the protocols
 to subject to them, and the seeds to replicate over.  The runner fans the
-cross product out through :mod:`repro.experiments.pool` worker processes
-and merges the per-run resilience metrics into one report:
+grid out through :mod:`repro.experiments.pool` worker processes and
+merges the per-run records into one report.
 
-* MTTR (mean time to repair) split by cause — injected vs churn;
-* per-member disruption counts and delivered-data ratio;
-* CER repair success rate under correlated loss (e.g. a stub-domain
-  outage) vs the independent-loss baseline scenario, for the plain,
-  single-source and domain-aware recovery schemes.
+:class:`BaseCampaignSpec` holds what every campaign shares: the common
+fields and their validation, the JSON/TOML round trip, the per-run
+config, the seeds derived from ``--seed``, the fan-out
+(:func:`run_campaign`) and the report skeleton (:class:`CampaignReport`).
+A subclass adds its own grid cells, recovery schemes, per-run record and
+report rows:
+
+* :class:`CampaignSpec` (this module) — correlated-fault campaigns over
+  one tree per run, reporting
+  * MTTR (mean time to repair) split by cause — injected vs churn;
+  * per-member disruption counts and delivered-data ratio;
+  * CER repair success rate under correlated loss (e.g. a stub-domain
+    outage) vs the independent-loss baseline scenario, for the plain,
+    single-source and domain-aware recovery schemes;
+* :class:`~repro.multitree.campaign.MultiTreeCampaignSpec` — the same
+  scenarios across K stripe trees.
 
 Results are merged in submission order and every random draw is keyed by
 the run seed, so the report is byte-identical for a given seed at any
 ``--jobs`` value.
 
-Campaigns are also *checkpointable*: each (scenario, protocol, seed)
-unit travels through the pool chokepoint, so with ``--store DIR`` every
-completed unit commits durably to the run-store ledger
-(:mod:`repro.store`) and a campaign killed mid-run — even ``kill -9`` —
-can be restarted with ``--resume`` to replay the finished units and
-execute only the missing ones, yielding the same report bytes as an
-uninterrupted run.  See ``docs/store.md``.
+Campaigns are also *checkpointable*: each grid unit travels through the
+pool chokepoint, so with ``--store DIR`` every completed unit commits
+durably to the run-store ledger (:mod:`repro.store`) and a campaign
+killed mid-run — even ``kill -9`` — can be restarted with ``--resume`` to
+replay the finished units and execute only the missing ones, yielding the
+same report bytes as an uninterrupted run.  See ``docs/store.md``.
 """
 
 from __future__ import annotations
@@ -30,13 +40,14 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
-from ..config import paper_config
+from ..config import SimulationConfig, paper_config
 from ..errors import FaultError
 from ..obs.capture import emit_unit, obs_active
 from ..metrics.collectors import ResilienceMetrics
 from ..metrics.report import render_table
+from ..protocols import PROTOCOLS
 from ..recovery.schemes import cer_scheme, single_source_scheme
 from ..simulation.streaming import RecoverySimulation
 from .injector import FaultInjector
@@ -45,6 +56,10 @@ from .schedule import FaultSchedule, _load_spec_file
 
 #: Version of the JSON report layout (asserted by CI's smoke job).
 REPORT_SCHEMA_VERSION = 1
+
+#: Cap on embedded violation reports per run record (keeps a pathological
+#: run's JSON bounded; the total count is always exact).
+MAX_VIOLATION_REPORTS = 25
 
 #: The built-in example campaign: correlated stub-domain loss and plain
 #: node crashes against an undisturbed baseline.  Checked-in mirror:
@@ -108,9 +123,38 @@ class ScenarioSpec:
         )
 
 
+def _nanmean(values: Sequence[float]) -> float:
+    clean = [v for v in values if isinstance(v, (int, float)) and v == v]
+    return sum(clean) / len(clean) if clean else math.nan
+
+
+def _require_unique(what: str, values: Sequence) -> None:
+    if len(set(values)) != len(values):
+        raise FaultError(f"duplicate {what}: {list(values)}")
+
+
 @dataclass(frozen=True)
-class CampaignSpec:
-    """A full campaign: scenarios x protocols x seeds plus run shaping."""
+class BaseCampaignSpec:
+    """The fields, validation and round trip every campaign shares.
+
+    A subclass sets the class constants below and defines
+    ``scheme_list()``, ``cells()`` (the grid cells in submission order,
+    each a ``(summary path, unit kwargs)`` pair), ``report_axes()`` (the
+    report's axis lists), ``report_header()`` and ``summarize(runs)``
+    (one cell's summary entry and table row from its per-seed records).
+    """
+
+    #: The built-in spec :meth:`resolve` falls back to.
+    DEFAULT: ClassVar[dict]
+    #: The registered experiment that runs one grid cell at one seed.
+    UNIT_EXPERIMENT: ClassVar[str]
+    #: The report title (and the campaign experiment's title) prefix.
+    TITLE: ClassVar[str]
+    #: How many consecutive seeds, from the CLI ``--seed``, a spec
+    #: without ``seeds`` runs.
+    DERIVED_SEEDS: ClassVar[int]
+    #: The smallest accepted ``group_size``.
+    MIN_GROUP_SIZE: ClassVar[int]
 
     name: str
     description: str = ""
@@ -120,39 +164,55 @@ class CampaignSpec:
     protocols: Tuple[str, ...] = ("rost",)
     #: Replication seeds; empty means "derive from the CLI --seed".
     seeds: Tuple[int, ...] = ()
+    #: CER/MLC recovery-group size.
     group_size: int = 3
     buffer_s: float = 5.0
     #: Root fan-out override.  ``None`` keeps the paper's 100-slot root;
     #: small smoke campaigns set a low value so trees have depth (and
     #: recovery episodes) even with a dozen members.
     root_bandwidth: Optional[float] = None
-    #: Also evaluate the domain-aware CER variant (distinct stub domains
-    #: preferred in MLC selection).
-    domain_aware: bool = True
     scenarios: Tuple[ScenarioSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("protocols", "seeds", "scenarios"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.name:
             raise FaultError("campaign name must be non-empty")
         if self.population < 1:
             raise FaultError(f"population must be >= 1, got {self.population}")
+        if self.warmup_lifetimes < 0:
+            raise FaultError(
+                f"warmup_lifetimes must be >= 0, got {self.warmup_lifetimes}"
+            )
+        if self.measure_lifetimes <= 0:
+            raise FaultError(
+                f"measure_lifetimes must be > 0, got {self.measure_lifetimes}"
+            )
+        if self.buffer_s <= 0:
+            raise FaultError(f"buffer_s must be > 0, got {self.buffer_s}")
         if self.root_bandwidth is not None and self.root_bandwidth < 1:
             raise FaultError(
                 f"root_bandwidth must be >= 1, got {self.root_bandwidth}"
             )
+        if self.group_size < self.MIN_GROUP_SIZE:
+            raise FaultError(
+                f"group_size must be >= {self.MIN_GROUP_SIZE}, "
+                f"got {self.group_size}"
+            )
         if not self.protocols:
             raise FaultError("campaign needs at least one protocol")
+        unknown = sorted(set(self.protocols) - set(PROTOCOLS))
+        if unknown:
+            raise FaultError(
+                f"unknown protocols {unknown}; known: {sorted(PROTOCOLS)}"
+            )
+        _require_unique("protocols", self.protocols)
         if not self.scenarios:
             raise FaultError("campaign needs at least one scenario")
-        names = [s.name for s in self.scenarios]
-        if len(set(names)) != len(names):
-            raise FaultError(f"duplicate scenario names: {names}")
+        _require_unique("scenario names", [s.name for s in self.scenarios])
         for seed in self.seeds:
             if seed < 0:
                 raise FaultError(f"seeds must be >= 0, got {seed}")
-        object.__setattr__(self, "protocols", tuple(self.protocols))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
 
     def scenario(self, name: str) -> ScenarioSpec:
         for scenario in self.scenarios:
@@ -162,17 +222,27 @@ class CampaignSpec:
             f"unknown scenario {name!r}; known: {[s.name for s in self.scenarios]}"
         )
 
-    def scheme_list(self):
-        """The recovery schemes every run of this campaign evaluates."""
-        schemes = [
-            cer_scheme(self.group_size, self.buffer_s),
-            single_source_scheme(self.group_size, self.buffer_s),
-        ]
-        if self.domain_aware:
-            schemes.append(
-                cer_scheme(self.group_size, self.buffer_s, domain_aware=True)
+    def run_seeds(self, seed: int) -> Tuple[int, ...]:
+        """The replication seeds: ``seeds``, else ``DERIVED_SEEDS``
+        consecutive seeds starting at ``seed``."""
+        return self.seeds or tuple(range(seed, seed + self.DERIVED_SEEDS))
+
+    def config(self, seed: int, scale: float) -> SimulationConfig:
+        """The simulation config of one run."""
+        config = paper_config(population=self.population, seed=seed, scale=scale)
+        config = dataclasses.replace(
+            config,
+            warmup_lifetimes=self.warmup_lifetimes,
+            measure_lifetimes=self.measure_lifetimes,
+        )
+        if self.root_bandwidth is not None:
+            config = dataclasses.replace(
+                config,
+                workload=dataclasses.replace(
+                    config.workload, root_bandwidth=self.root_bandwidth
+                ),
             )
-        return schemes
+        return config
 
     # -- spec round-trip ---------------------------------------------------------
 
@@ -193,7 +263,7 @@ class CampaignSpec:
         return json.dumps(self.to_spec(), sort_keys=True)
 
     @classmethod
-    def from_spec(cls, spec: dict) -> "CampaignSpec":
+    def from_spec(cls, spec: dict):
         if not isinstance(spec, dict):
             raise FaultError(
                 f"campaign spec must be a mapping, got {type(spec).__name__}"
@@ -204,46 +274,134 @@ class CampaignSpec:
             raise FaultError(
                 f"unknown campaign spec keys {unknown}; known: {sorted(known)}"
             )
-        kwargs = dict(spec)
-        kwargs["scenarios"] = tuple(
-            ScenarioSpec.from_spec(s) for s in kwargs.get("scenarios", [])
-        )
-        for name in ("protocols", "seeds"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        scenarios = [ScenarioSpec.from_spec(s) for s in spec.get("scenarios", [])]
+        return cls(**{**spec, "scenarios": scenarios})
+
+    @classmethod
+    def load(cls, path: str):
+        """Load a campaign spec from a ``.json`` or ``.toml`` file."""
+        return cls.from_spec(_load_spec_file(path))
+
+    @classmethod
+    def resolve(cls, spec=None):
+        """Coerce any accepted spec form into a spec of this class.
+
+        ``None`` -> the built-in default; a dict -> parsed spec; a string ->
+        inline JSON (when it looks like an object) or a spec file path.
+        """
+        if spec is None:
+            return cls.from_spec(cls.DEFAULT)
+        if isinstance(spec, cls):
+            return spec
+        if isinstance(spec, dict):
+            return cls.from_spec(spec)
+        if isinstance(spec, str):
+            if spec.lstrip().startswith("{"):
+                return cls.from_spec(json.loads(spec))
+            return cls.load(spec)
+        raise FaultError(f"cannot resolve campaign spec from {type(spec).__name__}")
 
 
-def load_campaign(path: str) -> CampaignSpec:
-    """Load a campaign spec from a ``.json`` or ``.toml`` file."""
-    return CampaignSpec.from_spec(_load_spec_file(path))
+@dataclass(frozen=True)
+class CampaignSpec(BaseCampaignSpec):
+    """A fault campaign: scenarios x protocols x seeds, each run priced
+    under CER, single-source and (optionally) domain-aware CER repair."""
+
+    DEFAULT: ClassVar[dict] = DEFAULT_CAMPAIGN_SPEC
+    UNIT_EXPERIMENT: ClassVar[str] = "faults_scenario"
+    TITLE: ClassVar[str] = "Fault campaign"
+    DERIVED_SEEDS: ClassVar[int] = 2
+    MIN_GROUP_SIZE: ClassVar[int] = 1
+
+    #: Also evaluate the domain-aware CER variant (distinct stub domains
+    #: preferred in MLC selection).
+    domain_aware: bool = True
+
+    def scheme_list(self):
+        """The recovery schemes every run of this campaign evaluates."""
+        schemes = [
+            cer_scheme(self.group_size, self.buffer_s),
+            single_source_scheme(self.group_size, self.buffer_s),
+        ]
+        if self.domain_aware:
+            schemes.append(
+                cer_scheme(self.group_size, self.buffer_s, domain_aware=True)
+            )
+        return schemes
+
+    def cells(self) -> list:
+        return [
+            ((s.name, protocol), {"scenario": s.name, "protocol": protocol})
+            for s in self.scenarios
+            for protocol in self.protocols
+        ]
+
+    def report_axes(self) -> dict:
+        return {
+            "protocols": list(self.protocols),
+            "scenarios": [s.name for s in self.scenarios],
+            "schemes": [s.name for s in self.scheme_list()],
+        }
+
+    def report_header(self) -> list:
+        return [
+            "scenario",
+            "protocol",
+            "fault events",
+            "MTTR s",
+            "delivered",
+            *[f"{s.name} success" for s in self.scheme_list()],
+        ]
+
+    def summarize(self, runs: List[dict]) -> Tuple[dict, list]:
+        scheme_names = [s.name for s in self.scheme_list()]
+        entry = {
+            key: _nanmean([r[key] for r in runs])
+            for key in (
+                "fault_disruption_events",
+                "mttr_s",
+                "mttr_churn_s",
+                "delivered_data_ratio",
+            )
+        }
+        for key in ("repair_success_rate", "mean_group_domain_correlation"):
+            entry[key] = {
+                name: _nanmean([r["schemes"][name][key] for r in runs])
+                for name in scheme_names
+            }
+        row = [
+            entry["fault_disruption_events"],
+            entry["mttr_s"],
+            entry["delivered_data_ratio"],
+            *[entry["repair_success_rate"][name] for name in scheme_names],
+        ]
+        return entry, row
 
 
-def resolve_campaign(spec) -> CampaignSpec:
-    """Coerce any accepted spec form into a :class:`CampaignSpec`.
+load_campaign = CampaignSpec.load
+resolve_campaign = CampaignSpec.resolve
 
-    ``None`` -> the built-in default; a dict -> parsed spec; a string ->
-    inline JSON (when it looks like an object) or a spec file path.
-    """
-    if spec is None:
-        return CampaignSpec.from_spec(DEFAULT_CAMPAIGN_SPEC)
-    if isinstance(spec, CampaignSpec):
-        return spec
-    if isinstance(spec, dict):
-        return CampaignSpec.from_spec(spec)
-    if isinstance(spec, str):
-        if spec.lstrip().startswith("{"):
-            return CampaignSpec.from_spec(json.loads(spec))
-        return load_campaign(spec)
-    raise FaultError(f"cannot resolve campaign spec from {type(spec).__name__}")
+
+# -- what every run record shares ---------------------------------------------------
+
+
+def fault_log_records(log) -> List[dict]:
+    """A run's ``(t, kind, detail)`` fault activations as JSON records."""
+    return [{"t": t, "kind": kind, "detail": detail} for t, kind, detail in log]
+
+
+def invariants_block(checkers) -> dict:
+    """A run record's ``invariants`` block from its non-strict checkers."""
+    violations = [v for checker in checkers for v in checker.violations]
+    return {
+        "checked": True,
+        "sweeps": sum(checker.sweeps for checker in checkers),
+        "violations": len(violations),
+        "reports": [v.as_dict() for v in violations[:MAX_VIOLATION_REPORTS]],
+    }
 
 
 # -- one (scenario, protocol, seed) unit ------------------------------------------
-
-
-#: Cap on embedded violation reports per run record (keeps a pathological
-#: run's JSON bounded; the total count is always exact).
-MAX_VIOLATION_REPORTS = 25
 
 
 def run_scenario(
@@ -264,19 +422,7 @@ def run_scenario(
     from ..experiments.common import protocol_factory, shared_topology
 
     scenario = spec.scenario(scenario_name)
-    config = paper_config(population=spec.population, seed=seed, scale=scale)
-    config = dataclasses.replace(
-        config,
-        warmup_lifetimes=spec.warmup_lifetimes,
-        measure_lifetimes=spec.measure_lifetimes,
-    )
-    if spec.root_bandwidth is not None:
-        config = dataclasses.replace(
-            config,
-            workload=dataclasses.replace(
-                config.workload, root_bandwidth=spec.root_bandwidth
-            ),
-        )
+    config = spec.config(seed, scale)
     topology, oracle = shared_topology(config)
     checker = None
     if check_invariants:
@@ -343,10 +489,7 @@ def run_scenario(
         "protocol": protocol_name,
         "seed": seed,
         "mean_population": churn_metrics.mean_population,
-        "fault_log": [
-            {"t": t, "kind": kind, "detail": detail}
-            for t, kind, detail in injector.log
-        ],
+        "fault_log": fault_log_records(injector.log),
         "fault_disruption_events": fault_events,
         "mttr_s": resilience.mttr_s(),
         "mttr_churn_s": resilience.mttr_s("churn"),
@@ -357,14 +500,7 @@ def run_scenario(
         "schemes": schemes,
     }
     if checker is not None:
-        record["invariants"] = {
-            "checked": True,
-            "sweeps": checker.sweeps,
-            "violations": len(checker.violations),
-            "reports": [
-                v.as_dict() for v in checker.violations[:MAX_VIOLATION_REPORTS]
-            ],
-        }
+        record["invariants"] = invariants_block([checker])
     return record
 
 
@@ -385,20 +521,15 @@ class CampaignReport:
         return self.table
 
 
-def _nanmean(values: Sequence[float]) -> float:
-    clean = [v for v in values if isinstance(v, (int, float)) and v == v]
-    return sum(clean) / len(clean) if clean else math.nan
-
-
 def run_campaign(
-    spec: CampaignSpec,
+    spec: BaseCampaignSpec,
     scale: float = 1.0,
     seed: int = 42,
     jobs: Optional[int] = None,
     timeout_s: Optional[float] = None,
     check_invariants: bool = False,
 ) -> CampaignReport:
-    """Fan the campaign's (scenario x protocol x seed) grid out and merge.
+    """Fan the campaign's grid cells x seeds out and merge the runs.
 
     Jobs go through :func:`repro.experiments.pool.run_jobs`, which
     preserves submission order, so the emitted report is byte-identical
@@ -412,98 +543,42 @@ def run_campaign(
     instead of re-executed, and the merge cannot tell the difference —
     the replayed record and artifacts are the original bytes.
     """
-    from ..experiments.pool import ExperimentJob, run_jobs
+    from ..experiments import pool
 
-    seeds = spec.seeds or (seed, seed + 1)
+    seeds = list(spec.run_seeds(seed))
     spec_json = spec.canonical_json()
     # Only added when enabled, so job identities (and any caching keyed on
     # them) are unchanged for ordinary runs.
     extra = {"check_invariants": True} if check_invariants else {}
+    cells = spec.cells()
     batch = [
-        ExperimentJob.make(
-            "faults_scenario",
+        pool.ExperimentJob.make(
+            spec.UNIT_EXPERIMENT,
             scale=scale,
             seed=run_seed,
             spec=spec_json,
-            scenario=scenario.name,
-            protocol=protocol,
+            **cell,
             **extra,
         )
-        for scenario in spec.scenarios
-        for protocol in spec.protocols
+        for _, cell in cells
         for run_seed in seeds
     ]
-    results = run_jobs(batch, parallel_jobs=jobs, timeout_s=timeout_s)
+    results = pool.run_jobs(batch, parallel_jobs=jobs, timeout_s=timeout_s)
     runs = [r.data for r in results]
-    report = build_report(spec, scale=scale, seeds=list(seeds), runs=runs)
-    for result in results:
-        for key, payload in result.artifacts.items():
-            report.artifacts.setdefault(key, []).extend(payload)
-    return report
-
-
-def build_report(
-    spec: CampaignSpec, scale: float, seeds: List[int], runs: List[dict]
-) -> CampaignReport:
-    """Aggregate per-run records into the campaign table + JSON schema."""
-    scheme_names = [s.name for s in spec.scheme_list()]
-    summary: Dict[str, Dict[str, dict]] = {}
+    summary: dict = {}
     rows = []
-    for scenario in spec.scenarios:
-        for protocol in spec.protocols:
-            group = [
-                r
-                for r in runs
-                if r["scenario"] == scenario.name and r["protocol"] == protocol
-            ]
-            entry = {
-                "fault_disruption_events": _nanmean(
-                    [r["fault_disruption_events"] for r in group]
-                ),
-                "mttr_s": _nanmean([r["mttr_s"] for r in group]),
-                "mttr_churn_s": _nanmean([r["mttr_churn_s"] for r in group]),
-                "delivered_data_ratio": _nanmean(
-                    [r["delivered_data_ratio"] for r in group]
-                ),
-                "repair_success_rate": {
-                    name: _nanmean(
-                        [r["schemes"][name]["repair_success_rate"] for r in group]
-                    )
-                    for name in scheme_names
-                },
-                "mean_group_domain_correlation": {
-                    name: _nanmean(
-                        [
-                            r["schemes"][name]["mean_group_domain_correlation"]
-                            for r in group
-                        ]
-                    )
-                    for name in scheme_names
-                },
-            }
-            summary.setdefault(scenario.name, {})[protocol] = entry
-            rows.append(
-                [
-                    scenario.name,
-                    protocol,
-                    entry["fault_disruption_events"],
-                    entry["mttr_s"],
-                    entry["delivered_data_ratio"],
-                    *[entry["repair_success_rate"][name] for name in scheme_names],
-                ]
-            )
-    header = [
-        "scenario",
-        "protocol",
-        "fault events",
-        "MTTR s",
-        "delivered",
-        *[f"{name} success" for name in scheme_names],
-    ]
+    for index, (path, cell) in enumerate(cells):
+        # Submission order: each cell's runs are its seeds, back to back.
+        entry, row = spec.summarize(runs[index * len(seeds) : (index + 1) * len(seeds)])
+        node = summary
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = entry
+        rows.append([*cell.values(), *row])
     table = render_table(
-        f"Fault campaign {spec.name!r} "
+        f"{spec.TITLE} {spec.name!r} "
         f"(seeds {seeds}, scale {scale:g}, {len(runs)} runs)",
-        header,
+        spec.report_header(),
         rows,
     )
     data = {
@@ -511,10 +586,8 @@ def build_report(
         "campaign": spec.name,
         "description": spec.description,
         "scale": scale,
-        "seeds": list(seeds),
-        "protocols": list(spec.protocols),
-        "scenarios": [s.name for s in spec.scenarios],
-        "schemes": scheme_names,
+        "seeds": seeds,
+        **spec.report_axes(),
         "summary": summary,
         "runs": runs,
     }
@@ -522,4 +595,8 @@ def build_report(
         data["invariant_violations"] = sum(
             r.get("invariants", {}).get("violations", 0) for r in runs
         )
-    return CampaignReport(table=table, data=data)
+    report = CampaignReport(table=table, data=data)
+    for result in results:
+        for key, payload in result.artifacts.items():
+            report.artifacts.setdefault(key, []).extend(payload)
+    return report

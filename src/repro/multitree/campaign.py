@@ -1,11 +1,12 @@
 """Multi-tree resilience campaigns: (scenario x protocol x K x seed).
 
-A campaign spec names a set of fault *scenarios* (reusing the fault
-campaign's :class:`~repro.faults.campaign.ScenarioSpec`), the protocols
-to run in every stripe, and the stripe counts K to sweep.  The runner
-fans the full grid out through :mod:`repro.experiments.pool` worker
-processes and merges the per-run K-tree resilience metrics into one
-report: blackout rate, stripe-outage rate and delivered quality
+A campaign spec names a set of fault *scenarios*, the protocols to run in
+every stripe, and the stripe counts K to sweep.  The fields, round trip,
+fan-out and report skeleton are the fault campaign's
+(:class:`~repro.faults.campaign.BaseCampaignSpec`,
+:func:`~repro.faults.campaign.run_campaign`); this module adds the K
+axis, the per-stripe repair pricing, the per-run K-tree record and the
+report rows: blackout rate, stripe-outage rate and delivered quality
 (fraction of stripes) per (scenario, protocol, K) cell, each with its
 time-binned series.
 
@@ -13,30 +14,24 @@ The qualitative claim the ``multitree_resilience`` validate gate
 freezes: under the correlated-crash scenario the blackout rate is
 decreasing in K — interior-disjointness converts full blackouts into
 1/K-quality stripe outages.
-
-Results are merged in submission order and every random draw is keyed by
-the run seed, so the report is byte-identical for a given seed at any
-``--jobs`` value; with ``--store`` each (scenario, protocol, K, seed)
-unit commits durably and a killed campaign resumes to the same bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-from ..config import paper_config
 from ..errors import FaultError
-from ..faults.campaign import MAX_VIOLATION_REPORTS, ScenarioSpec, _nanmean
-from ..faults.schedule import FaultSchedule, _load_spec_file
-from ..metrics.report import render_table
+from ..faults.campaign import (
+    BaseCampaignSpec,
+    _nanmean,
+    _require_unique,
+    fault_log_records,
+    invariants_block,
+)
+from ..faults.schedule import FaultSchedule
 from ..recovery.schemes import cer_scheme
 from .driver import MultiTreeSimulation
-
-#: Version of the JSON report layout (asserted by CI's smoke job).
-REPORT_SCHEMA_VERSION = 1
 
 #: The built-in campaign: K in {1, 2, 4, 8} ROST stripe trees under no
 #: faults, correlated node crashes, and a stub-domain outage.  The small
@@ -73,64 +68,34 @@ DEFAULT_MULTITREE_SPEC: dict = {
 
 
 @dataclass(frozen=True)
-class MultiTreeCampaignSpec:
+class MultiTreeCampaignSpec(BaseCampaignSpec):
     """A K-tree campaign: scenarios x protocols x tree counts x seeds."""
 
-    name: str
-    description: str = ""
+    DEFAULT: ClassVar[dict] = DEFAULT_MULTITREE_SPEC
+    UNIT_EXPERIMENT: ClassVar[str] = "multitree_scenario"
+    TITLE: ClassVar[str] = "Multi-tree campaign"
+    DERIVED_SEEDS: ClassVar[int] = 1
+    MIN_GROUP_SIZE: ClassVar[int] = 0
+
+    # Shared fields whose K-tree default differs from the fault campaign's.
     population: int = 500
-    warmup_lifetimes: float = 0.5
-    measure_lifetimes: float = 1.0
-    protocols: Tuple[str, ...] = ("rost",)
-    tree_counts: Tuple[int, ...] = (1, 2, 4, 8)
-    #: Replication seeds; empty means "derive from the CLI --seed".
-    seeds: Tuple[int, ...] = ()
-    #: Root fan-out override; ``None`` keeps the paper's 100-slot root.
     root_bandwidth: Optional[float] = 4.0
-    #: Per-stripe BTP switching interval; ``None`` disables switching.
-    switch_interval_s: Optional[float] = None
     #: CER/MLC group size per stripe; 0 disables repair-scheme pricing.
     group_size: int = 0
-    buffer_s: float = 5.0
-    scenarios: Tuple[ScenarioSpec, ...] = ()
+    tree_counts: Tuple[int, ...] = (1, 2, 4, 8)
+    #: Per-stripe BTP switching interval; ``None`` disables switching.
+    switch_interval_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise FaultError("campaign name must be non-empty")
-        if self.population < 1:
-            raise FaultError(f"population must be >= 1, got {self.population}")
-        if not self.protocols:
-            raise FaultError("campaign needs at least one protocol")
+        super().__post_init__()
         if not self.tree_counts:
             raise FaultError("campaign needs at least one tree count")
         for count in self.tree_counts:
             if count < 1:
                 raise FaultError(f"tree counts must be >= 1, got {count}")
-        if len(set(self.tree_counts)) != len(self.tree_counts):
-            raise FaultError(f"duplicate tree counts: {list(self.tree_counts)}")
-        if not self.scenarios:
-            raise FaultError("campaign needs at least one scenario")
-        names = [s.name for s in self.scenarios]
-        if len(set(names)) != len(names):
-            raise FaultError(f"duplicate scenario names: {names}")
-        if self.group_size < 0:
-            raise FaultError(f"group_size must be >= 0, got {self.group_size}")
-        for seed in self.seeds:
-            if seed < 0:
-                raise FaultError(f"seeds must be >= 0, got {seed}")
-        object.__setattr__(self, "protocols", tuple(self.protocols))
+        _require_unique("tree counts", self.tree_counts)
         object.__setattr__(
             self, "tree_counts", tuple(int(k) for k in self.tree_counts)
-        )
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-
-    def scenario(self, name: str) -> ScenarioSpec:
-        for scenario in self.scenarios:
-            if scenario.name == name:
-                return scenario
-        raise FaultError(
-            f"unknown scenario {name!r}; known: {[s.name for s in self.scenarios]}"
         )
 
     def scheme_list(self) -> list:
@@ -139,68 +104,70 @@ class MultiTreeCampaignSpec:
             return []
         return [cer_scheme(self.group_size, self.buffer_s)]
 
-    # -- spec round-trip ---------------------------------------------------------
-
-    def to_spec(self) -> dict:
-        spec: dict = {"name": self.name}
-        for f in dataclasses.fields(self):
-            if f.name in ("name", "scenarios"):
-                continue
-            value = getattr(self, f.name)
-            if value == f.default:
-                continue
-            spec[f.name] = list(value) if isinstance(value, tuple) else value
-        spec["scenarios"] = [s.to_spec() for s in self.scenarios]
-        return spec
-
-    def canonical_json(self) -> str:
-        """A canonical string form (hashable, picklable job parameter)."""
-        return json.dumps(self.to_spec(), sort_keys=True)
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "MultiTreeCampaignSpec":
-        if not isinstance(spec, dict):
-            raise FaultError(
-                f"campaign spec must be a mapping, got {type(spec).__name__}"
+    def cells(self) -> list:
+        return [
+            (
+                (s.name, protocol, f"K{k}"),
+                {"scenario": s.name, "protocol": protocol, "trees": k},
             )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(spec) - known)
-        if unknown:
-            raise FaultError(
-                f"unknown campaign spec keys {unknown}; known: {sorted(known)}"
+            for s in self.scenarios
+            for protocol in self.protocols
+            for k in self.tree_counts
+        ]
+
+    def report_axes(self) -> dict:
+        return {
+            "protocols": list(self.protocols),
+            "tree_counts": list(self.tree_counts),
+            "scenarios": [s.name for s in self.scenarios],
+        }
+
+    def report_header(self) -> list:
+        return [
+            "scenario",
+            "protocol",
+            "K",
+            "blackout rate",
+            "outage rate",
+            "quality %",
+            "blackouts/node",
+        ]
+
+    def summarize(self, runs: List[dict]) -> Tuple[dict, list]:
+        entry: dict = {
+            key: _nanmean([r[key] for r in runs])
+            for key in (
+                "blackout_rate",
+                "stripe_outage_rate",
+                "mean_delivered_quality",
+                "blackouts_per_node",
+                "stripe_outages_per_node",
+                "members_measured",
             )
-        kwargs = dict(spec)
-        kwargs["scenarios"] = tuple(
-            ScenarioSpec.from_spec(s) for s in kwargs.get("scenarios", [])
-        )
-        for name in ("protocols", "tree_counts", "seeds"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        }
+        entry["series"] = {
+            key: _mean_series(runs, key)
+            for key in ("blackout_rate", "stripe_outage_rate", "delivered_quality")
+        }
+        row = [
+            entry["blackout_rate"],
+            entry["stripe_outage_rate"],
+            100.0 * entry["mean_delivered_quality"],
+            entry["blackouts_per_node"],
+        ]
+        return entry, row
 
 
-def load_multitree_campaign(path: str) -> MultiTreeCampaignSpec:
-    """Load a campaign spec from a ``.json`` or ``.toml`` file."""
-    return MultiTreeCampaignSpec.from_spec(_load_spec_file(path))
+resolve_multitree_campaign = MultiTreeCampaignSpec.resolve
 
 
-def resolve_multitree_campaign(spec) -> MultiTreeCampaignSpec:
-    """Coerce any accepted spec form into a :class:`MultiTreeCampaignSpec`.
-
-    ``None`` -> the built-in default; a dict -> parsed spec; a string ->
-    inline JSON (when it looks like an object) or a spec file path.
-    """
-    if spec is None:
-        return MultiTreeCampaignSpec.from_spec(DEFAULT_MULTITREE_SPEC)
-    if isinstance(spec, MultiTreeCampaignSpec):
-        return spec
-    if isinstance(spec, dict):
-        return MultiTreeCampaignSpec.from_spec(spec)
-    if isinstance(spec, str):
-        if spec.lstrip().startswith("{"):
-            return MultiTreeCampaignSpec.from_spec(json.loads(spec))
-        return load_multitree_campaign(spec)
-    raise FaultError(f"cannot resolve campaign spec from {type(spec).__name__}")
+def _mean_series(group: List[dict], series_key: str) -> List[float]:
+    """Element-wise seed mean of one per-run resilience series."""
+    rows = [r["resilience"]["series"][series_key] for r in group]
+    if not rows:
+        return []
+    length = min(len(row) for row in rows)
+    return [_nanmean([row[i] for row in rows]) for i in range(length)]
 
 
 # -- one (scenario, protocol, K, seed) unit ----------------------------------------
@@ -224,19 +191,7 @@ def run_scenario(
     from ..experiments.common import shared_topology
 
     scenario = spec.scenario(scenario_name)
-    config = paper_config(population=spec.population, seed=seed, scale=scale)
-    config = dataclasses.replace(
-        config,
-        warmup_lifetimes=spec.warmup_lifetimes,
-        measure_lifetimes=spec.measure_lifetimes,
-    )
-    if spec.root_bandwidth is not None:
-        config = dataclasses.replace(
-            config,
-            workload=dataclasses.replace(
-                config.workload, root_bandwidth=spec.root_bandwidth
-            ),
-        )
+    config = spec.config(seed, scale)
     topology, oracle = shared_topology(config)
     checker_factory = False
     if check_invariants:
@@ -269,10 +224,7 @@ def run_scenario(
         "trees": num_trees,
         "seed": seed,
         "mean_population": churn_result.metrics.mean_population,
-        "fault_log": [
-            {"t": t, "kind": kind, "detail": detail}
-            for t, kind, detail in result.fault_log
-        ],
+        "fault_log": fault_log_records(result.fault_log),
         "blackout_rate": result.blackout_rate,
         "stripe_outage_rate": result.stripe_outage_rate,
         "mean_delivered_quality": result.mean_delivered_quality,
@@ -305,181 +257,10 @@ def run_scenario(
             for name, entry in schemes.items()
         }
     if check_invariants:
-        checkers = [c for c in sim.invariant_checkers if c is not None]
-        violations = [v for c in checkers for v in c.violations]
-        record["invariants"] = {
-            "checked": True,
-            "sweeps": sum(c.sweeps for c in checkers),
-            "violations": len(violations),
-            "reports": [
-                v.as_dict() for v in violations[:MAX_VIOLATION_REPORTS]
-            ],
-        }
+        record["invariants"] = invariants_block(
+            [c for c in sim.invariant_checkers if c is not None]
+        )
     return record
-
-
-# -- campaign fan-out --------------------------------------------------------------
-
-
-@dataclass
-class MultiTreeCampaignReport:
-    """The merged outcome of one K-tree campaign."""
-
-    table: str
-    data: dict = field(default_factory=dict)
-    #: Observability payloads merged from every run in submission order.
-    artifacts: dict = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return self.table
-
-
-def run_campaign(
-    spec: MultiTreeCampaignSpec,
-    scale: float = 1.0,
-    seed: int = 42,
-    jobs: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    check_invariants: bool = False,
-) -> MultiTreeCampaignReport:
-    """Fan the (scenario x protocol x K x seed) grid out and merge.
-
-    Jobs go through :func:`repro.experiments.pool.run_jobs`, which
-    preserves submission order, so the emitted report is byte-identical
-    for a given seed at any ``jobs`` value; the durable run store and
-    observability capture compose exactly as for the fault campaign.
-    """
-    from ..experiments.pool import ExperimentJob, run_jobs
-
-    seeds = spec.seeds or (seed,)
-    spec_json = spec.canonical_json()
-    extra = {"check_invariants": True} if check_invariants else {}
-    batch = [
-        ExperimentJob.make(
-            "multitree_scenario",
-            scale=scale,
-            seed=run_seed,
-            spec=spec_json,
-            scenario=scenario.name,
-            protocol=protocol,
-            trees=num_trees,
-            **extra,
-        )
-        for scenario in spec.scenarios
-        for protocol in spec.protocols
-        for num_trees in spec.tree_counts
-        for run_seed in seeds
-    ]
-    results = run_jobs(batch, parallel_jobs=jobs, timeout_s=timeout_s)
-    runs = [r.data for r in results]
-    report = build_report(spec, scale=scale, seeds=list(seeds), runs=runs)
-    for result in results:
-        for key, payload in result.artifacts.items():
-            report.artifacts.setdefault(key, []).extend(payload)
-    return report
-
-
-def _mean_series(group: List[dict], series_key: str) -> List[float]:
-    """Element-wise seed mean of one per-run resilience series."""
-    rows = [r["resilience"]["series"][series_key] for r in group]
-    if not rows:
-        return []
-    length = min(len(row) for row in rows)
-    return [_nanmean([row[i] for row in rows]) for i in range(length)]
-
-
-def build_report(
-    spec: MultiTreeCampaignSpec,
-    scale: float,
-    seeds: List[int],
-    runs: List[dict],
-) -> MultiTreeCampaignReport:
-    """Aggregate per-run records into the campaign table + JSON schema."""
-    summary: Dict[str, Dict[str, dict]] = {}
-    rows = []
-    for scenario in spec.scenarios:
-        for protocol in spec.protocols:
-            for num_trees in spec.tree_counts:
-                group = [
-                    r
-                    for r in runs
-                    if r["scenario"] == scenario.name
-                    and r["protocol"] == protocol
-                    and r["trees"] == num_trees
-                ]
-                entry = {
-                    "blackout_rate": _nanmean(
-                        [r["blackout_rate"] for r in group]
-                    ),
-                    "stripe_outage_rate": _nanmean(
-                        [r["stripe_outage_rate"] for r in group]
-                    ),
-                    "mean_delivered_quality": _nanmean(
-                        [r["mean_delivered_quality"] for r in group]
-                    ),
-                    "blackouts_per_node": _nanmean(
-                        [r["blackouts_per_node"] for r in group]
-                    ),
-                    "stripe_outages_per_node": _nanmean(
-                        [r["stripe_outages_per_node"] for r in group]
-                    ),
-                    "members_measured": _nanmean(
-                        [r["members_measured"] for r in group]
-                    ),
-                    "series": {
-                        key: _mean_series(group, key)
-                        for key in (
-                            "blackout_rate",
-                            "stripe_outage_rate",
-                            "delivered_quality",
-                        )
-                    },
-                }
-                summary.setdefault(scenario.name, {}).setdefault(protocol, {})[
-                    f"K{num_trees}"
-                ] = entry
-                rows.append(
-                    [
-                        scenario.name,
-                        protocol,
-                        num_trees,
-                        entry["blackout_rate"],
-                        entry["stripe_outage_rate"],
-                        100.0 * entry["mean_delivered_quality"],
-                        entry["blackouts_per_node"],
-                    ]
-                )
-    table = render_table(
-        f"Multi-tree campaign {spec.name!r} "
-        f"(seeds {seeds}, scale {scale:g}, {len(runs)} runs)",
-        [
-            "scenario",
-            "protocol",
-            "K",
-            "blackout rate",
-            "outage rate",
-            "quality %",
-            "blackouts/node",
-        ],
-        rows,
-    )
-    data = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "campaign": spec.name,
-        "description": spec.description,
-        "scale": scale,
-        "seeds": list(seeds),
-        "protocols": list(spec.protocols),
-        "tree_counts": list(spec.tree_counts),
-        "scenarios": [s.name for s in spec.scenarios],
-        "summary": summary,
-        "runs": runs,
-    }
-    if any("invariants" in r for r in runs):
-        data["invariant_violations"] = sum(
-            r.get("invariants", {}).get("violations", 0) for r in runs
-        )
-    return MultiTreeCampaignReport(table=table, data=data)
 
 
 def gate_data(report_data: dict) -> dict:

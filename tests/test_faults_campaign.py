@@ -1,4 +1,8 @@
-"""Campaign specs, fan-out determinism, and the resilience report schema."""
+"""Campaign specs, fan-out determinism, and the resilience report schema.
+
+The spec tests run over both campaign stacks: the fault campaign and the
+K-tree campaign share one base spec, validator and fan-out.
+"""
 
 import json
 from pathlib import Path
@@ -6,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import FaultError
+from repro.experiments import pool
 from repro.faults import (
     DEFAULT_CAMPAIGN_SPEC,
     CampaignSpec,
@@ -14,6 +19,12 @@ from repro.faults import (
     run_campaign,
 )
 from repro.faults.campaign import REPORT_SCHEMA_VERSION
+from repro.faults.schedule import dump_spec_file
+from repro.multitree.campaign import (
+    DEFAULT_MULTITREE_SPEC,
+    MultiTreeCampaignSpec,
+    resolve_multitree_campaign,
+)
 
 SMALL_SPEC = {
     "name": "unit-small",
@@ -36,6 +47,21 @@ SMALL_SPEC = {
 }
 SCALE = 0.1  # population 40 under a 6-slot root: deep trees, fast runs
 
+#: (spec class, its module-level resolver, built-in default, small spec).
+STACKS = [
+    pytest.param(
+        CampaignSpec, resolve_campaign, DEFAULT_CAMPAIGN_SPEC, SMALL_SPEC,
+        id="faults",
+    ),
+    pytest.param(
+        MultiTreeCampaignSpec,
+        resolve_multitree_campaign,
+        DEFAULT_MULTITREE_SPEC,
+        {**SMALL_SPEC, "tree_counts": [1, 2]},
+        id="multitree",
+    ),
+]
+
 
 @pytest.fixture(scope="module")
 def small_reports():
@@ -45,23 +71,47 @@ def small_reports():
     return serial, fanned
 
 
-def test_default_spec_round_trip():
-    spec = resolve_campaign(None)
-    assert spec.name == DEFAULT_CAMPAIGN_SPEC["name"]
-    assert resolve_campaign(spec) is spec
-    assert resolve_campaign(spec.canonical_json()) == spec
-    assert CampaignSpec.from_spec(spec.to_spec()) == spec
+@pytest.mark.parametrize("cls, resolve, default, small", STACKS)
+def test_default_spec_round_trip(cls, resolve, default, small):
+    spec = resolve(None)
+    assert type(spec) is cls
+    assert spec.name == default["name"]
+    assert resolve(spec) is spec
+    assert resolve(spec.canonical_json()) == spec
+    assert cls.from_spec(spec.to_spec()) == spec
+    assert cls.from_spec(small).to_spec() == small
 
 
-def test_campaign_validation():
+@pytest.mark.parametrize("cls, resolve, default, small", STACKS)
+def test_resolve_accepts_every_spec_form(cls, resolve, default, small, tmp_path):
+    expected = cls.from_spec(small)
+    assert resolve(None) == cls.from_spec(default)
+    assert resolve(dict(small)) == expected
+    assert resolve(json.dumps(small)) == expected
+    assert resolve("  " + json.dumps(small)) == expected
+    for suffix in (".json", ".toml"):
+        path = str(tmp_path / f"spec{suffix}")
+        dump_spec_file(path, small)
+        assert resolve(path) == expected
+        assert cls.load(path) == expected
+    with pytest.raises(FaultError, match="cannot resolve"):
+        resolve(3.5)
+    with pytest.raises(FaultError, match="cannot resolve"):
+        resolve(["not", "a", "spec"])
+    with pytest.raises(FaultError, match="must be a mapping"):
+        cls.from_spec([small])
+
+
+@pytest.mark.parametrize("cls, resolve, default, small", STACKS)
+def test_campaign_validation(cls, resolve, default, small):
     with pytest.raises(FaultError):
-        CampaignSpec.from_spec({**SMALL_SPEC, "bogus_key": 1})
+        cls.from_spec({**small, "bogus_key": 1})
     with pytest.raises(FaultError):
-        CampaignSpec.from_spec({**SMALL_SPEC, "scenarios": []})
+        cls.from_spec({**small, "scenarios": []})
     with pytest.raises(FaultError):
-        CampaignSpec.from_spec(
+        cls.from_spec(
             {
-                **SMALL_SPEC,
+                **small,
                 "scenarios": [
                     {"name": "dup", "faults": []},
                     {"name": "dup", "faults": []},
@@ -69,11 +119,117 @@ def test_campaign_validation():
             }
         )
     with pytest.raises(FaultError):
-        CampaignSpec.from_spec({**SMALL_SPEC, "seeds": [-3]})
+        cls.from_spec({**small, "seeds": [-3]})
     with pytest.raises(FaultError):
-        CampaignSpec.from_spec({**SMALL_SPEC, "root_bandwidth": 0.5})
+        cls.from_spec({**small, "root_bandwidth": 0.5})
     with pytest.raises(FaultError):
-        resolve_campaign(3.5)
+        resolve(3.5)
+
+
+#: Specs both stacks must reject at load (each once loaded, then failed
+#: mid-run or doubled the work).
+SHARED_BAD_SPECS = {
+    "root-bandwidth-below-stream-rate": (
+        {"root_bandwidth": 0.5}, "root_bandwidth must be >= 1"
+    ),
+    "unknown-protocol": ({"protocols": ["bogus"]}, "unknown protocols"),
+    "duplicate-protocols": (
+        {"protocols": ["rost", "rost"]}, "duplicate protocols"
+    ),
+    "no-protocols": ({"protocols": []}, "at least one protocol"),
+    "empty-name": ({"name": ""}, "name must be non-empty"),
+    "empty-population": ({"population": 0}, "population must be >= 1"),
+    "negative-warmup": ({"warmup_lifetimes": -1}, "warmup_lifetimes must be >= 0"),
+    "empty-measurement": ({"measure_lifetimes": 0}, "measure_lifetimes must be > 0"),
+    "no-buffer": ({"buffer_s": 0}, "buffer_s must be > 0"),
+}
+
+
+@pytest.mark.parametrize("cls, resolve, default, small", STACKS)
+@pytest.mark.parametrize("case", sorted(SHARED_BAD_SPECS))
+def test_shared_rules_reject_at_load(cls, resolve, default, small, case):
+    override, message = SHARED_BAD_SPECS[case]
+    with pytest.raises(FaultError, match=message):
+        cls.from_spec({**small, **override})
+    with pytest.raises(FaultError, match=message):
+        resolve(json.dumps({**small, **override}))
+
+
+@pytest.mark.parametrize(
+    "cls, override, message",
+    [
+        pytest.param(
+            CampaignSpec, {"group_size": 0}, "group_size must be >= 1",
+            id="faults-group-size-0",
+        ),
+        pytest.param(
+            MultiTreeCampaignSpec, {"group_size": -1}, "group_size must be >= 0",
+            id="multitree-negative-group-size",
+        ),
+        pytest.param(
+            MultiTreeCampaignSpec, {"tree_counts": []}, "at least one tree count",
+            id="multitree-no-tree-counts",
+        ),
+        pytest.param(
+            MultiTreeCampaignSpec, {"tree_counts": [0, 2]},
+            "tree counts must be >= 1", id="multitree-zero-tree-count",
+        ),
+        pytest.param(
+            MultiTreeCampaignSpec, {"tree_counts": [2, 2]},
+            "duplicate tree counts", id="multitree-duplicate-tree-counts",
+        ),
+        pytest.param(
+            CampaignSpec, {"tree_counts": [1, 2]}, "unknown campaign spec keys",
+            id="faults-has-no-tree-counts",
+        ),
+        pytest.param(
+            MultiTreeCampaignSpec, {"domain_aware": False},
+            "unknown campaign spec keys", id="multitree-has-no-domain-aware",
+        ),
+    ],
+)
+def test_per_stack_rules_reject_at_load(cls, override, message):
+    with pytest.raises(FaultError, match=message):
+        cls.from_spec({**SMALL_SPEC, **override})
+
+
+def test_multitree_group_size_zero_disables_repair_pricing():
+    spec = MultiTreeCampaignSpec.from_spec({**SMALL_SPEC, "group_size": 0})
+    assert spec.scheme_list() == []
+    assert resolve_multitree_campaign(None).group_size == 0
+
+
+@pytest.mark.parametrize(
+    "resolve, derived",
+    [
+        pytest.param(resolve_campaign, (7, 8), id="faults"),
+        pytest.param(resolve_multitree_campaign, (7,), id="multitree"),
+    ],
+)
+def test_derived_seeds_feed_the_fan_out(monkeypatch, resolve, derived):
+    """A spec without seeds runs ``derived`` from --seed 7; pinned seeds
+    win.  The fan-out goes through the ``pool.run_jobs`` module attribute
+    (a profiler that wraps it sees the nested jobs)."""
+    spec = resolve(None)
+    assert spec.run_seeds(7) == derived
+    assert resolve({**spec.to_spec(), "seeds": [3]}).run_seeds(7) == (3,)
+
+    batches = []
+
+    class Planned(Exception):
+        pass
+
+    def capture(batch, parallel_jobs=None, timeout_s=None):
+        batches.append(list(batch))
+        raise Planned  # stop before anything simulates
+
+    monkeypatch.setattr(pool, "run_jobs", capture)
+    with pytest.raises(Planned):
+        run_campaign(spec, scale=0.05, seed=7)
+    (batch,) = batches
+    assert len(batch) == len(spec.cells()) * len(derived)
+    assert {job.experiment_id for job in batch} == {spec.UNIT_EXPERIMENT}
+    assert [job.seed for job in batch] == list(derived) * len(spec.cells())
 
 
 def test_scheme_list_includes_domain_aware_variant():

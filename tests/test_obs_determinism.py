@@ -90,3 +90,28 @@ def test_untraced_run_writes_no_trace_file(tmp_path):
     code = main(["run", "fig05", "--scale", "0.02", "--seed", "3", "--jobs", "1"])
     assert code == 0
     assert list(tmp_path.glob("*.jsonl")) == []
+
+
+def test_trace_leaves_out_file_untouched(tmp_path, capsys):
+    """--trace reports its file on stderr, like the [store] line, so a
+    traced campaign's --out equals an untraced one's byte for byte."""
+    spec = os.path.join(
+        os.path.dirname(__file__), os.pardir, "examples", "campaigns", "smoke.json"
+    )
+    trace = tmp_path / "trace.jsonl"
+    outs = []
+    for extra in ([], ["--trace", str(trace)]):
+        common.clear_caches()
+        out = tmp_path / f"out-{len(outs)}.txt"
+        code = main([
+            "faults_campaign", spec,
+            "--scale", "0.05",
+            "--jobs", "1",
+            "--out", str(out),
+            *extra,
+        ])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    records = len(trace.read_text().splitlines())
+    assert f"[trace: {records} records -> {trace}]" in capsys.readouterr().err

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import common
+from repro.experiments import units as units_module
 from repro.experiments.common import SweepSettings
 from repro.experiments.pool import ExperimentJob, ExperimentPool, run_jobs
 from repro.experiments.units import (
@@ -106,6 +107,18 @@ def test_plan_dedups_across_figures():
 
 def test_undeclared_experiment_falls_back_to_whole_job():
     assert units_for("faults_scenario", 0.02, 3) is None
+
+
+def test_declarer_error_fails_the_plan(monkeypatch):
+    """A declarer bug surfaces at plan time instead of silently sending
+    the figure down the whole-job path, which re-simulates it."""
+
+    def broken(**_):
+        raise TypeError("declarer bug")
+
+    monkeypatch.setitem(units_module._DECLARERS, "fig04", broken)
+    with pytest.raises(TypeError, match="declarer bug"):
+        run_jobs([ExperimentJob.make("fig04", scale=0.02, seed=3)], parallel_jobs=2)
 
 
 # -- exact payload round-trips -----------------------------------------------------
