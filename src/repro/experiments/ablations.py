@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from ..metrics.report import render_table
 from ..recovery.schemes import RecoveryScheme, cer_scheme, single_source_scheme
-from .common import DEFAULT_SINGLE_SIZE, SweepSettings, churn_run, recovery_run
+from .common import DEFAULT_SINGLE_SIZE, SweepSettings
 from .registry import ExperimentResult, register
+from .units import ChurnUnit, RecoveryUnit
 
 ROST_VARIANTS = {
     "full-rost": {},
@@ -23,10 +24,6 @@ ROST_VARIANTS = {
 }
 
 
-from .units import ChurnUnit, RecoveryUnit, declare_units
-
-
-@declare_units("ablation-rost")
 def rost_units(
     scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
 ):
@@ -59,7 +56,6 @@ def _ablation_schemes():
     )
 
 
-@declare_units("ablation-recovery")
 def recovery_units(
     scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
 ):
@@ -71,18 +67,17 @@ def recovery_units(
     "ablation-rost",
     "ROST mechanism ablations (promotion / succession / guards)",
     "Extension",
+    units=rost_units,
 )
 def run_rost_ablation(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     **_,
 ) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
     rows = []
     data = {}
-    for label, flags in ROST_VARIANTS.items():
-        result = churn_run("rost", population, settings, rost_flags=flags)
+    for label, result in zip(ROST_VARIANTS, results):
         rows.append(
             [
                 label,
@@ -115,19 +110,18 @@ def run_rost_ablation(
     "ablation-recovery",
     "CER ingredient ablations (MLC / striping / ELN)",
     "Extension",
+    units=recovery_units,
 )
 def run_recovery_ablation(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     **_,
 ) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
-    schemes = list(_ablation_schemes())
-    result = recovery_run("min-depth", population, settings, schemes)
+    (result,) = results
     rows = []
     data = {}
-    for scheme in schemes:
+    for scheme in _ablation_schemes():
         outcome = result.schemes[scheme.name]
         rows.append(
             [

@@ -1,9 +1,10 @@
 """Shared machinery for the experiment modules.
 
-The expensive artefacts — topologies/oracles, workloads and whole churn
-runs — are cached in-process and keyed by their full parameter tuples, so
-experiments that share sweeps (Figs 4/7/8/10; Figs 6/9) pay for them
-once.  All protocols within one sweep run against a byte-identical
+The expensive artefacts — topologies/oracles, workloads and whole
+simulation runs — are cached in-process.  Runs are keyed by the
+simulation unit that names them (:mod:`~repro.experiments.units`), so
+figures that read the same simulations (Figs 4/7/8/10; Figs 6/9) pay for
+them once.  All protocols within one sweep run against a byte-identical
 workload over a shared underlay, mirroring the paper's methodology.
 """
 
@@ -12,16 +13,14 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..config import SimulationConfig, paper_config
-from ..obs.capture import ObsUnit, emit_unit, obs_fingerprint
+from ..obs.capture import ObsUnit
 from ..protocols import PROTOCOLS
 from ..protocols.rost import RostProtocol
 from ..sim.rng import RngRegistry
-from ..simulation.churn import ChurnRunResult, ChurnSimulation
 from ..simulation.probe import make_probe_session
-from ..simulation.streaming import RecoveryRunResult, RecoverySimulation
 from ..topology.cache import clear_default_cache, default_cache
 from ..workload.generator import generate_workload
 from ..workload.session import Session
@@ -40,15 +39,14 @@ PROTOCOL_ORDER: Tuple[str, ...] = (
 DEFAULT_SINGLE_SIZE = 8000
 
 _workload_cache: Dict[tuple, object] = {}
-_churn_cache: Dict[tuple, ChurnRunResult] = {}
-_recovery_cache: Dict[tuple, RecoveryRunResult] = {}
-# Observability units captured alongside cached runs, same keys as the
-# run caches.  A cache hit must *re-emit* the stored unit: with --jobs 1
-# a run shared between figures executes once, while with --jobs 4 each
-# figure's unit is simulated once and replayed per consumer — re-emitting
-# the unit keeps the merged trace/metrics byte-identical across the two.
-_churn_obs: Dict[tuple, ObsUnit] = {}
-_recovery_obs: Dict[tuple, ObsUnit] = {}
+#: Simulation runs by ``unit.cache_key()``: ``(result, ObsUnit or None)``.
+#: :func:`~repro.experiments.units.run_unit` fills it, and the pool seeds
+#: it with worker payloads (:func:`~repro.experiments.units.seed_unit`).
+#: A hit re-emits the captured ObsUnit: with --jobs 1 a run shared between
+#: figures executes once, while with --jobs N each unit is simulated in a
+#: worker and replayed per consumer, so re-emitting keeps the merged
+#: trace/metrics byte-identical across the two.
+_run_cache: Dict[tuple, Tuple[object, Optional[ObsUnit]]] = {}
 
 #: Run-cache hit/miss counters since the last :func:`clear_caches`.
 #: ``benchmarks/report.py`` snapshots these around each figure so the
@@ -76,10 +74,7 @@ def clear_caches() -> None:
     """
     clear_default_cache()
     _workload_cache.clear()
-    _churn_cache.clear()
-    _recovery_cache.clear()
-    _churn_obs.clear()
-    _recovery_obs.clear()
+    _run_cache.clear()
     for name in _cache_stats:
         _cache_stats[name] = 0
 
@@ -142,7 +137,7 @@ def shared_workload(
 
 def _invariants_enabled() -> bool:
     """The CLI's ``--check-invariants`` travels via the environment (it
-    must reach pool workers and the cached run helpers alike)."""
+    must reach pool workers and in-process unit runs alike)."""
     return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
 
 
@@ -156,233 +151,18 @@ def protocol_factory(name: str, **kwargs) -> Callable:
     return cls
 
 
-def churn_key(
-    protocol_name: str,
-    population: int,
-    settings: SweepSettings,
-    probe_lifetime_s: Optional[float] = None,
-    switch_interval_s: Optional[float] = None,
-    rost_flags: Optional[dict] = None,
-) -> tuple:
-    """The ``_churn_cache`` key for one run's parameters.
-
-    Shared between :func:`churn_run` and the sweep-unit scheduler
-    (:mod:`repro.experiments.units`), which seeds the cache with
-    worker-executed results: both sides must fold the invariant-checking
-    flag and the obs fingerprint identically or seeded entries would
-    never be found (or worse, be replayed under the wrong channel set).
-    """
-    return (
-        "churn",
-        protocol_name,
-        population,
-        settings,
-        probe_lifetime_s,
-        switch_interval_s,
-        tuple(sorted((rost_flags or {}).items())),
-        _invariants_enabled(),
-        obs_fingerprint(),
-    )
-
-
-def churn_run(
-    protocol_name: str,
-    population: int,
-    settings: SweepSettings,
-    probe: Optional[Session] = None,
-    switch_interval_s: Optional[float] = None,
-    rost_flags: Optional[dict] = None,
-) -> ChurnRunResult:
-    """One (cached) churn run."""
-    checked = _invariants_enabled()
-    obs_fp = obs_fingerprint()
-    key = churn_key(
-        protocol_name,
-        population,
-        settings,
-        probe_lifetime_s=probe.lifetime_s if probe is not None else None,
-        switch_interval_s=switch_interval_s,
-        rost_flags=rost_flags,
-    )
-    cached = _churn_cache.get(key)
-    if cached is not None:
-        _cache_stats["churn_hits"] += 1
-        unit = _churn_obs.get(key)
-        if unit is not None:
-            emit_unit(unit)
-        return cached
-    _cache_stats["churn_misses"] += 1
-    config = settings.config(population)
-    if switch_interval_s is not None:
-        config = config.with_switch_interval(switch_interval_s)
-    topology, oracle = shared_topology(config)
-    workload = shared_workload(config, probe=probe)
-    sim = ChurnSimulation(
-        config,
-        protocol_factory(protocol_name, **(rost_flags or {})),
-        topology=topology,
-        oracle=oracle,
-        workload=workload,
-        probe=probe,
-        check_invariants=checked,
-    )
-    attachment = None
-    if any(obs_fp):
-        from ..obs.attach import ObsAttachment
-
-        attachment = ObsAttachment(
-            meta={
-                "kind": "churn",
-                "protocol": protocol_name,
-                "population": population,
-                "seed": settings.seed,
-                "scale": settings.scale,
-                "switch_interval_s": switch_interval_s,
-            }
-        ).attach(sim)
-    result = sim.run()
-    _churn_cache[key] = result
-    if attachment is not None:
-        unit = attachment.finalize(result)
-        _churn_obs[key] = unit
-        emit_unit(unit)
-    return result
-
-
-def recovery_key(
-    protocol_name: str,
-    population: int,
-    settings: SweepSettings,
-    scheme_names: Sequence[str],
-    replica: int = 0,
-) -> tuple:
-    """The ``_recovery_cache`` key (see :func:`churn_key` for the
-    contract with the sweep-unit scheduler)."""
-    return (
-        "recovery",
-        protocol_name,
-        population,
-        settings,
-        tuple(scheme_names),
-        replica,
-        _invariants_enabled(),
-        obs_fingerprint(),
-    )
-
-
-def recovery_run(
-    protocol_name: str,
-    population: int,
-    settings: SweepSettings,
-    schemes: Sequence,
-    replica: int = 0,
-) -> RecoveryRunResult:
-    """One (cached) recovery run evaluating a grid of schemes."""
-    checked = _invariants_enabled()
-    obs_fp = obs_fingerprint()
-    key = recovery_key(
-        protocol_name,
-        population,
-        settings,
-        [s.name for s in schemes],
-        replica=replica,
-    )
-    cached = _recovery_cache.get(key)
-    if cached is not None:
-        _cache_stats["recovery_hits"] += 1
-        unit = _recovery_obs.get(key)
-        if unit is not None:
-            emit_unit(unit)
-        return cached
-    _cache_stats["recovery_misses"] += 1
-    config = settings.config(population)
-    if replica:
-        config = config.with_seed(settings.seed + 1000 * replica)
-    topology, oracle = shared_topology(config)
-    sim = RecoverySimulation(
-        config,
-        protocol_factory(protocol_name),
-        schemes,
-        topology=topology,
-        oracle=oracle,
-        check_invariants=checked,
-    )
-    attachment = None
-    if any(obs_fp):
-        from ..obs.attach import ObsAttachment
-
-        attachment = ObsAttachment(
-            meta={
-                "kind": "recovery",
-                "protocol": protocol_name,
-                "population": population,
-                "seed": config.seed,
-                "scale": settings.scale,
-                "replica": replica,
-            }
-        ).attach(sim)
-    result = sim.run()
-    _recovery_cache[key] = result
-    if attachment is not None:
-        unit = attachment.finalize(result)
-        _recovery_obs[key] = unit
-        emit_unit(unit)
-    return result
-
-
-#: Lifetime of the Fig. 6/9 probe member.  A module constant because the
-#: sweep-unit scheduler must compute a probe run's cache key *without*
-#: materialising the probe session (which requires the topology).
-DEFAULT_PROBE_LIFETIME_S = 300 * 60.0
-
-
 def default_probe(settings: SweepSettings, population: int) -> Session:
     """The "typical member" of Figs 6 and 9: moderate bandwidth, a long
-    (300-minute) life, joining once the network is in steady state."""
+    (300-minute) life, joining once the network is in steady state.
+
+    The figures read its join time back off the result, as
+    ``result.config.warmup_s``, so their views need no underlay.
+    """
     config = settings.config(population)
     topology, _ = shared_topology(config)
     return make_probe_session(
         arrival_s=config.warmup_s,
-        lifetime_s=DEFAULT_PROBE_LIFETIME_S,
+        lifetime_s=300 * 60.0,
         bandwidth=2.0,
         underlay_node=topology.stub_nodes[len(topology.stub_nodes) // 2],
     )
-
-
-# -- sweep-unit scheduler hooks -----------------------------------------------------
-#
-# The two-phase pool plan (see ``pool.py``) executes each deduplicated
-# simulation unit once in a worker, ships the exact payload back, and
-# seeds the parent's run caches below before re-running the consuming
-# figures in-process.  From the figures' perspective every churn_run /
-# recovery_run call is then an ordinary cache hit — including the ObsUnit
-# re-emission — which is what keeps merged artifacts byte-identical to a
-# serial run.
-
-
-def seed_churn_result(
-    key: tuple, result: ChurnRunResult, obs_unit: Optional[ObsUnit] = None
-) -> None:
-    """Install a deserialized churn run under its cache key."""
-    _churn_cache[key] = result
-    if obs_unit is not None:
-        _churn_obs[key] = obs_unit
-
-
-def seed_recovery_result(
-    key: tuple, result: RecoveryRunResult, obs_unit: Optional[ObsUnit] = None
-) -> None:
-    """Install a deserialized recovery run under its cache key."""
-    _recovery_cache[key] = result
-    if obs_unit is not None:
-        _recovery_obs[key] = obs_unit
-
-
-def captured_churn_obs(key: tuple) -> Optional[ObsUnit]:
-    """The ObsUnit captured for a cached churn run (worker side)."""
-    return _churn_obs.get(key)
-
-
-def captured_recovery_obs(key: tuple) -> Optional[ObsUnit]:
-    """The ObsUnit captured for a cached recovery run (worker side)."""
-    return _recovery_obs.get(key)

@@ -9,13 +9,13 @@ longest-first worst by a wide margin.
 from __future__ import annotations
 
 from ..metrics.report import render_series_table
-from .common import PAPER_SIZES, PROTOCOL_ORDER, SweepSettings, churn_run
+from .common import PAPER_SIZES, PROTOCOL_ORDER, SweepSettings
 from .registry import ExperimentResult, register
-from .units import ChurnUnit, declare_units
+from .units import ChurnUnit
 
 
-@declare_units("fig04")
-def units(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_):
+def sweep_units(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_):
+    """The five-protocol size sweep Figs 4, 7, 8 and 10 all read."""
     settings = SweepSettings(scale=scale, seed=seed)
     return [
         ChurnUnit(protocol, size, settings)
@@ -24,22 +24,25 @@ def units(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_):
     ]
 
 
+def sweep_series(results, metric):
+    """``(protocol, [metric(run) per size])`` rows of the sweep's results."""
+    n = len(results) // len(PROTOCOL_ORDER)
+    return [
+        (protocol, [metric(result) for result in results[i * n : (i + 1) * n]])
+        for i, protocol in enumerate(PROTOCOL_ORDER)
+    ]
+
+
 @register(
     "fig04",
     "Avg. streaming disruptions per node vs network size",
     "Figure 4",
+    units=sweep_units,
 )
-def run(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
-    series = []
-    populations = {}
-    for protocol in PROTOCOL_ORDER:
-        values = []
-        for size in sizes:
-            result = churn_run(protocol, size, settings)
-            values.append(result.avg_disruptions_per_node)
-            populations.setdefault(size, result.metrics.mean_population)
-        series.append((protocol, values))
+def run(results, scale: float = 1.0, sizes=PAPER_SIZES, **_) -> ExperimentResult:
+    series = sweep_series(results, lambda r: r.avg_disruptions_per_node)
+    # Each size's population as the first protocol's run measured it.
+    populations = {s: r.metrics.mean_population for s, r in zip(sizes, results)}
     table = render_series_table(
         "Fig. 4 — avg disruptions per node (scale "
         f"{scale:g}, measured populations "

@@ -8,17 +8,18 @@ from __future__ import annotations
 
 from ..metrics.stats import cdf_at
 from ..metrics.report import render_series_table
-from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER, SweepSettings, churn_run
+from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER, SweepSettings
 from .registry import ExperimentResult, register
-from .units import ChurnUnit, declare_units
+from .units import ChurnUnit
 
 THRESHOLDS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-@declare_units("fig05")
-def units(
+def column_units(
     scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
 ):
+    """One run per protocol at one size (the sweep's 8000-member column),
+    which Fig 5 and the control-message table both read."""
     settings = SweepSettings(scale=scale, seed=seed)
     return [ChurnUnit(protocol, population, settings) for protocol in PROTOCOL_ORDER]
 
@@ -27,22 +28,19 @@ def units(
     "fig05",
     "CDF of per-node disruption counts (8000-node network)",
     "Figure 5",
+    units=column_units,
 )
 def run(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     **_,
 ) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
     series = []
-    raw = {}
-    for protocol in PROTOCOL_ORDER:
-        result = churn_run(protocol, population, settings)
+    for protocol, result in zip(PROTOCOL_ORDER, results):
         counts = result.metrics.disruptions_per_departed
         fractions = [100.0 * f for f in cdf_at(counts, THRESHOLDS)]
         series.append((protocol, fractions))
-        raw[protocol] = counts
     table = render_series_table(
         f"Fig. 5 — cumulative % of nodes with <= x disruptions "
         f"(population {population}, scale {scale:g})",

@@ -12,40 +12,27 @@ from typing import List
 
 from ..metrics.collectors import TimeSeries
 from ..metrics.report import render_series_table
-from .common import (
-    DEFAULT_SINGLE_SIZE,
-    PROTOCOL_ORDER,
-    SweepSettings,
-    churn_run,
-    default_probe,
-)
+from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER, SweepSettings
 from .registry import ExperimentResult, register
-from .units import DEFAULT_PROBE, ChurnUnit, declare_units
+from .units import DEFAULT_PROBE, ChurnUnit
 
 #: Minute marks matching the paper's x-axis (0..300 in ~33-minute steps).
 SAMPLE_MINUTES = tuple(round(i * 100 / 3) for i in range(10))
 
 
-def probe_units(scale: float, seed: int, population: int):
-    """The probe churn runs Figs 6 and 9 both read (one per protocol)."""
-    settings = probe_settings(scale, seed)
+def probe_units(
+    scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
+):
+    """The probe churn runs Figs 6 and 9 both read (one per protocol).
+
+    The probe lives 300 minutes, so the measurement window spans ~10 mean
+    lifetimes beyond warm-up.
+    """
+    settings = SweepSettings(scale=scale, seed=seed, measure_lifetimes=10.5)
     return [
         ChurnUnit(protocol, population, settings, probe=DEFAULT_PROBE)
         for protocol in PROTOCOL_ORDER
     ]
-
-
-@declare_units("fig06")
-def units(
-    scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
-):
-    return probe_units(scale, seed, population)
-
-
-def probe_settings(scale: float, seed: int) -> SweepSettings:
-    """The probe lives 300 minutes, so the measurement window must span
-    ~10 mean lifetimes beyond warm-up."""
-    return SweepSettings(scale=scale, seed=seed, measure_lifetimes=10.5)
 
 
 def series_at_minutes(series: TimeSeries, start_s: float, minutes) -> List[float]:
@@ -66,21 +53,20 @@ def series_at_minutes(series: TimeSeries, start_s: float, minutes) -> List[float
     "fig06",
     "Cumulative disruptions of a typical member over time",
     "Figure 6",
+    units=probe_units,
 )
 def run(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     **_,
 ) -> ExperimentResult:
-    settings = probe_settings(scale, seed)
-    probe = default_probe(settings, population)
     series = []
-    for protocol in PROTOCOL_ORDER:
-        result = churn_run(protocol, population, settings, probe=probe)
+    for protocol, result in zip(PROTOCOL_ORDER, results):
         assert result.probe_disruptions is not None
+        # The probe joins at the end of warm-up (common.default_probe).
         values = series_at_minutes(
-            result.probe_disruptions, probe.arrival_s, SAMPLE_MINUTES
+            result.probe_disruptions, result.config.warmup_s, SAMPLE_MINUTES
         )
         series.append((protocol, values))
     table = render_series_table(

@@ -13,16 +13,8 @@ import numpy as np
 
 from ..metrics.collectors import TimeSeries
 from ..metrics.report import render_series_table
-from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER, churn_run, default_probe
-from .fig06_member_disruptions import SAMPLE_MINUTES, probe_settings, probe_units
-from .units import declare_units
-
-
-@declare_units("fig09")
-def units(
-    scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
-):
-    return probe_units(scale, seed, population)
+from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER
+from .fig06_member_disruptions import SAMPLE_MINUTES, probe_units
 from .registry import ExperimentResult, register
 
 
@@ -44,20 +36,21 @@ def window_average(
     "fig09",
     "Service delay of a typical member over time",
     "Figure 9",
+    units=probe_units,
 )
 def run(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     **_,
 ) -> ExperimentResult:
-    settings = probe_settings(scale, seed)
-    probe = default_probe(settings, population)
     series = []
-    for protocol in PROTOCOL_ORDER:
-        result = churn_run(protocol, population, settings, probe=probe)
+    for protocol, result in zip(PROTOCOL_ORDER, results):
         assert result.probe_delay_ms is not None
-        values = window_average(result.probe_delay_ms, probe.arrival_s, SAMPLE_MINUTES)
+        # The probe joins at the end of warm-up (common.default_probe).
+        values = window_average(
+            result.probe_delay_ms, result.config.warmup_s, SAMPLE_MINUTES
+        )
         series.append((protocol, values))
     table = render_series_table(
         f"Fig. 9 — typical member's service delay in ms "

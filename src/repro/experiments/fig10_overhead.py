@@ -10,35 +10,19 @@ the most.
 from __future__ import annotations
 
 from ..metrics.report import render_series_table
-from .common import PAPER_SIZES, PROTOCOL_ORDER, SweepSettings, churn_run
+from .common import PAPER_SIZES
+from .fig04_disruptions import sweep_series, sweep_units
 from .registry import ExperimentResult, register
-from .units import ChurnUnit, declare_units
-
-
-@declare_units("fig10")
-def units(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_):
-    settings = SweepSettings(scale=scale, seed=seed)
-    return [
-        ChurnUnit(protocol, size, settings)
-        for protocol in PROTOCOL_ORDER
-        for size in sizes
-    ]
 
 
 @register(
     "fig10",
     "Protocol overhead (reconnections per node) vs network size",
     "Figure 10",
+    units=sweep_units,
 )
-def run(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
-    series = []
-    for protocol in PROTOCOL_ORDER:
-        values = [
-            churn_run(protocol, size, settings).avg_optimization_reconnections
-            for size in sizes
-        ]
-        series.append((protocol, values))
+def run(results, scale: float = 1.0, sizes=PAPER_SIZES, **_) -> ExperimentResult:
+    series = sweep_series(results, lambda r: r.avg_optimization_reconnections)
     table = render_series_table(
         f"Fig. 10 — avg optimization reconnections per node (scale {scale:g})",
         "size",

@@ -9,14 +9,13 @@ better reliability and quality at (slightly) more reconnections.
 from __future__ import annotations
 
 from ..metrics.report import render_series_table
-from .common import DEFAULT_SINGLE_SIZE, SweepSettings, churn_run
+from .common import DEFAULT_SINGLE_SIZE, SweepSettings
 from .registry import ExperimentResult, register
-from .units import ChurnUnit, declare_units
+from .units import ChurnUnit
 
 INTERVALS_S = (480.0, 960.0, 1200.0, 1800.0)
 
 
-@declare_units("fig11")
 def units(
     scale: float = 1.0,
     seed: int = 42,
@@ -35,23 +34,22 @@ def units(
     "fig11",
     "Effect of the ROST switching interval (four metrics)",
     "Figure 11",
+    units=units,
 )
 def run(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     intervals=INTERVALS_S,
     **_,
 ) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
     rows = {
         "disruptions/node": [],
         "service delay (ms)": [],
         "stretch": [],
         "reconnections/node": [],
     }
-    for interval in intervals:
-        result = churn_run("rost", population, settings, switch_interval_s=interval)
+    for result in results:
         rows["disruptions/node"].append(result.avg_disruptions_per_node)
         rows["service delay (ms)"].append(result.avg_service_delay_ms)
         rows["stretch"].append(result.avg_stretch)

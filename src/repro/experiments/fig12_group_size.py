@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from ..metrics.report import render_series_table
 from ..recovery.schemes import cer_scheme
-from .common import PAPER_SIZES, SweepSettings, recovery_run
+from .common import PAPER_SIZES, SweepSettings
 from .registry import ExperimentResult, register
-from .units import RecoveryUnit, declare_units
+from .units import RecoveryUnit
 
 GROUP_SIZES = (1, 2, 3, 4)
 
 
-@declare_units("fig12")
 def units(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_):
     settings = SweepSettings(scale=scale, seed=seed)
     schemes = tuple(cer_scheme(k) for k in GROUP_SIZES)
@@ -27,15 +26,13 @@ def units(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_):
     "fig12",
     "Avg. starving time ratio (%) vs recovery group size",
     "Figure 12",
+    units=units,
 )
-def run(scale: float = 1.0, seed: int = 42, sizes=PAPER_SIZES, **_) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
-    schemes = [cer_scheme(k) for k in GROUP_SIZES]
+def run(results, scale: float = 1.0, sizes=PAPER_SIZES, **_) -> ExperimentResult:
     series = {k: [] for k in GROUP_SIZES}
-    for size in sizes:
-        result = recovery_run("min-depth", size, settings, schemes)
-        for k, scheme in zip(GROUP_SIZES, schemes):
-            series[k].append(result.ratio_pct(scheme.name))
+    for result in results:
+        for k in GROUP_SIZES:
+            series[k].append(result.ratio_pct(cer_scheme(k).name))
     table = render_series_table(
         f"Fig. 12 — avg starving time ratio %% by CER group size "
         f"(min-depth tree, scale {scale:g})",

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 from ..metrics.report import render_series_table
 from ..recovery.schemes import cer_scheme
-from .common import DEFAULT_SINGLE_SIZE, SweepSettings, recovery_run
+from .common import DEFAULT_SINGLE_SIZE, SweepSettings
 from .registry import ExperimentResult, register
-from .units import RecoveryUnit, declare_units
+from .units import RecoveryUnit
 
 BUFFERS_S = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 GROUP_SIZES = (1, 2, 3)
 
 
-@declare_units("fig13")
 def units(
     scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
 ):
@@ -30,18 +29,15 @@ def units(
     "fig13",
     "Avg. starving time ratio (%) vs buffer size",
     "Figure 13",
+    units=units,
 )
 def run(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     **_,
 ) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
-    schemes = [
-        cer_scheme(k, buffer_s=b) for k in GROUP_SIZES for b in BUFFERS_S
-    ]
-    result = recovery_run("min-depth", population, settings, schemes)
+    (result,) = results
     series = []
     for k in GROUP_SIZES:
         values = [

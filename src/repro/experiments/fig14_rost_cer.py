@@ -13,14 +13,13 @@ from __future__ import annotations
 from ..metrics.report import render_table
 from ..metrics.stats import mean_and_ci
 from ..recovery.schemes import cer_scheme, single_source_scheme
-from .common import DEFAULT_SINGLE_SIZE, SweepSettings, recovery_run
+from .common import DEFAULT_SINGLE_SIZE, SweepSettings
 from .registry import ExperimentResult, register
-from .units import RecoveryUnit, declare_units
+from .units import RecoveryUnit
 
 GROUP_SIZES = (1, 2, 3)
 
 
-@declare_units("fig14")
 def units(
     scale: float = 1.0,
     seed: int = 42,
@@ -48,29 +47,24 @@ def units(
     "fig14",
     "ROST+CER vs MinDepth+SingleSource (95% CI)",
     "Figure 14",
+    units=units,
 )
 def run(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     replicas: int = 3,
     **_,
 ) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
-    cer_schemes = [cer_scheme(k) for k in GROUP_SIZES]
-    ss_schemes = [single_source_scheme(k) for k in GROUP_SIZES]
-
     samples = {("rost+cer", k): [] for k in GROUP_SIZES}
     samples.update({("mindepth+ss", k): [] for k in GROUP_SIZES})
-    for replica in range(replicas):
-        rost = recovery_run("rost", population, settings, cer_schemes, replica=replica)
-        base = recovery_run(
-            "min-depth", population, settings, ss_schemes, replica=replica
-        )
-        for k, scheme in zip(GROUP_SIZES, cer_schemes):
-            samples[("rost+cer", k)].append(rost.ratio_pct(scheme.name))
-        for k, scheme in zip(GROUP_SIZES, ss_schemes):
-            samples[("mindepth+ss", k)].append(base.ratio_pct(scheme.name))
+    # One (ROST+CER, MinDepth+SS) pair of runs per replica.
+    for rost, base in zip(results[0::2], results[1::2]):
+        for k in GROUP_SIZES:
+            samples[("rost+cer", k)].append(rost.ratio_pct(cer_scheme(k).name))
+            samples[("mindepth+ss", k)].append(
+                base.ratio_pct(single_source_scheme(k).name)
+            )
 
     rows = []
     data = {}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from ..metrics.report import render_table
 from ..overlay.messages import MessageType
-from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER, SweepSettings, churn_run
+from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER
+from .fig05_cdf import column_units
 from .registry import ExperimentResult, register
 
 #: Message categories shown as columns (others are summed into "other").
@@ -27,33 +28,21 @@ COLUMNS = (
 )
 
 
-from .units import ChurnUnit, declare_units
-
-
-@declare_units("control-messages")
-def units(
-    scale: float = 1.0, seed: int = 42, population: int = DEFAULT_SINGLE_SIZE, **_
-):
-    settings = SweepSettings(scale=scale, seed=seed)
-    return [ChurnUnit(protocol, population, settings) for protocol in PROTOCOL_ORDER]
-
-
 @register(
     "control-messages",
     "Control messages per member session, by protocol",
     "Extension",
+    units=column_units,
 )
 def run(
+    results,
     scale: float = 1.0,
-    seed: int = 42,
     population: int = DEFAULT_SINGLE_SIZE,
     **_,
 ) -> ExperimentResult:
-    settings = SweepSettings(scale=scale, seed=seed)
     rows = []
     data = {}
-    for protocol in PROTOCOL_ORDER:
-        result = churn_run(protocol, population, settings)
+    for protocol, result in zip(PROTOCOL_ORDER, results):
         sessions = max(1, result.sessions_total)
         counts = result.messages.counts
         shown = {mt: counts[mt] / sessions for mt in COLUMNS}

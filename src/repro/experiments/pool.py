@@ -5,22 +5,23 @@ The paper's figures are views over a much smaller set of simulations
 Fig 5 shares its 8000-member column, Figs 6/9 share the probe runs), so
 the pool schedules **simulation units**, not figures:
 
-1. *Plan* — every job that has a unit declarer
-   (:mod:`~repro.experiments.units`) reports the simulations it will
-   consume; the pool dedups them across all requested figures.
+1. *Plan* — every job whose experiment was registered with a unit
+   declarer reports the simulations its view reads
+   (:func:`~repro.experiments.units.units_for`); the pool dedups them
+   across all requested figures.
 2. *Execute* — each distinct unit runs **exactly once** across the
    workers; its exact result payload (bit-identical floats, captured obs
    artifacts) ships back as canonical JSON.  Jobs without declarers
    (campaign drivers, direct-sim extensions) run as whole jobs alongside.
-3. *Demux* — the parent seeds the payloads into the in-process run
-   caches and replays each figure locally; extraction is a cache-hit
-   walk costing milliseconds, and flows through the same
-   :func:`execute_job` chokepoint as a serial run (obs capture, durable
-   store recording).
+3. *Demux* — the parent seeds the payloads into its run cache, keyed by
+   ``unit.cache_key()``, and runs each figure's view locally; every unit
+   the view reads is a cache hit, so extraction costs milliseconds,
+   needs no underlay, and flows through the same :func:`execute_job`
+   chokepoint as a serial run (obs capture, durable store recording).
 
-Because the demuxed figures consume the very cache entries a ``--jobs
-1`` run would populate, merged tables, ``--json`` payloads and obs
-traces are **byte-identical to a serial run at any** ``--jobs``.
+Because the views read the very cache entries a ``--jobs 1`` run would
+populate, merged tables, ``--json`` payloads and obs traces are
+**byte-identical to a serial run at any** ``--jobs``.
 
 Robustness model:
 
@@ -307,29 +308,15 @@ class ExperimentPool:
             clock = stage_timer()
             results: List[ExperimentResult] = []
             for i, job in enumerate(jobs):
-                if units_by_job[i] is None:
-                    future = job_futures[i]
-                    try:
-                        results.append(future.result(timeout=self.timeout_s))
-                    except (BrokenExecutor, FutureTimeoutError, OSError):
-                        future.cancel()
-                        results.append(self._retry_in_process(job))
-                else:
-                    # Demux with the workers' disk cache joined: a figure
-                    # that needs the topology itself (e.g. the probe
-                    # figures) loads the workers' precomputed underlay
-                    # instead of regenerating it.  Scoped to the demux
-                    # call so legacy retries (above) run under the
-                    # caller's own environment.
-                    prior = os.environ.get(ENV_CACHE_DIR)
-                    os.environ[ENV_CACHE_DIR] = cache_dir
-                    try:
-                        results.append(execute_job(job))
-                    finally:
-                        if prior is None:
-                            os.environ.pop(ENV_CACHE_DIR, None)
-                        else:
-                            os.environ[ENV_CACHE_DIR] = prior
+                if units_by_job[i] is not None:
+                    results.append(execute_job(job))
+                    continue
+                future = job_futures[i]
+                try:
+                    results.append(future.result(timeout=self.timeout_s))
+                except (BrokenExecutor, FutureTimeoutError, OSError):
+                    future.cancel()
+                    results.append(self._retry_in_process(job))
             record_stage("pool.gather", clock())
             return results
         finally:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 
 @dataclass
@@ -54,12 +54,29 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered, runnable reproduction of one paper artifact."""
+    """A registered, runnable reproduction of one paper artifact.
+
+    An experiment with a ``units`` declarer is a view over the
+    simulations it declares: :meth:`run` serves each declared unit from
+    the run cache (or simulates it) and calls ``body`` with the results in
+    declaration order, followed by the run kwargs.  Without a declarer,
+    ``body`` is the whole experiment and receives the kwargs alone.
+    """
 
     experiment_id: str
     title: str
     paper_artifact: str
-    run: Callable[..., ExperimentResult]
+    body: Callable[..., ExperimentResult]
+    #: ``declarer(scale=..., seed=..., **kw)`` -> the simulation units the
+    #: view reads (see :mod:`repro.experiments.units`), or None.
+    units: Optional[Callable[..., list]] = None
+
+    def run(self, **kwargs) -> ExperimentResult:
+        if self.units is None:
+            return self.body(**kwargs)
+        from .units import run_unit
+
+        return self.body([run_unit(u) for u in self.units(**kwargs)], **kwargs)
 
     def __call__(self, **kwargs) -> ExperimentResult:
         return self.run(**kwargs)
@@ -68,8 +85,18 @@ class Experiment:
 REGISTRY: Dict[str, Experiment] = {}
 
 
-def register(experiment_id: str, title: str, paper_artifact: str):
-    """Decorator registering ``run(scale=..., seed=..., **kw)`` callables."""
+def register(
+    experiment_id: str,
+    title: str,
+    paper_artifact: str,
+    units: Optional[Callable[..., list]] = None,
+):
+    """Decorator registering an experiment body.
+
+    Without ``units`` the body is ``run(scale=..., seed=..., **kw)``; with
+    a unit declarer it is a view, ``view(results, scale=..., seed=...,
+    **kw)``, over the results of ``units(scale=..., seed=..., **kw)``.
+    """
 
     def decorate(func):
         if experiment_id in REGISTRY:
@@ -78,7 +105,8 @@ def register(experiment_id: str, title: str, paper_artifact: str):
             experiment_id=experiment_id,
             title=title,
             paper_artifact=paper_artifact,
-            run=func,
+            body=func,
+            units=units,
         )
         return func
 

@@ -28,7 +28,8 @@ import os
 import sys
 import tempfile
 import time
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from ..faults.campaign import CampaignSpec, run_campaign
 from ..multitree.campaign import MultiTreeCampaignSpec
@@ -396,6 +397,32 @@ def _run_validation(args, emitter: _Emitter, json_data: dict) -> bool:
     return report.passed
 
 
+def _finish_run(
+    args,
+    emitter: _Emitter,
+    collector: _ArtifactCollector,
+    json_data: dict,
+    recorder: _StoreRunRecorder,
+    name: str,
+    params: dict,
+) -> bool:
+    """The end every command shares: the obs sections, ``--validate``,
+    the ``--json`` write and the store's run record.  Returns whether the
+    ``--validate`` gate passed (True without one)."""
+    collector.emit_sections(args, emitter, json_data)
+    validated = _run_validation(args, emitter, json_data)
+    if args.json:
+        _atomic_write(args.json, json.dumps(json_data, indent=2, default=str))
+    recorder.finish(
+        name=name,
+        command=f"repro.experiments {args.command}",
+        params=params,
+        report_text=emitter.session_content,
+        json_data=json_data,
+    )
+    return validated
+
+
 def _run_ids(ids: List[str], args) -> int:
     jobs = resolve_jobs(args.jobs)
     recorder = _StoreRunRecorder()
@@ -444,15 +471,13 @@ def _run_ids(ids: List[str], args) -> int:
             elapsed = time.time() - segment_started
             segment_started = time.time()
             emitter.emit(f"[{experiment_id} finished in {elapsed:.1f}s]\n")
-    collector.emit_sections(args, emitter, json_data)
-    validated = _run_validation(args, emitter, json_data)
-    if args.json:
-        _atomic_write(
-            args.json, json.dumps(json_data, indent=2, default=str)
-        )
-    recorder.finish(
+    validated = _finish_run(
+        args,
+        emitter,
+        collector,
+        json_data,
+        recorder,
         name=args.command if args.command == "all" else f"run {ids[0]}",
-        command=f"repro.experiments {args.command}",
         params={
             "experiments": ids,
             "scale": args.scale,
@@ -460,8 +485,6 @@ def _run_ids(ids: List[str], args) -> int:
             "replicas": args.replicas,
             "jobs": jobs,
         },
-        report_text=emitter.session_content,
-        json_data=json_data,
     )
     return 0 if validated else 1
 
@@ -479,58 +502,43 @@ def _write_svg(result, directory: str) -> None:
         handle.write(chart)
 
 
-def _set_obs_environment(args) -> dict:
-    """Export the obs CLI flags as environment variables.
+@contextmanager
+def _exported_flags(args) -> Iterator[None]:
+    """Export the CLI flags that travel as environment variables, and
+    restore the previous values on exit.
 
-    Like ``--check-invariants``, the flags must reach simulations built
-    deep inside cached helpers and pool workers, so they travel through
-    the environment.  Returns the previous values so ``main`` can restore
-    them (keeps repeated in-process invocations — tests — independent).
+    The obs flags, ``--store``/``--resume`` and (for ``run``/``all``)
+    ``--check-invariants`` must reach simulations built inside pool
+    workers as well as in this process, and the environment is the only
+    channel that survives both start methods.  Restoring keeps repeated
+    in-process invocations (tests) independent.
     """
     from ..obs.capture import ENV_METRICS, ENV_PROFILE, ENV_TRACE, ENV_TRACE_EVENTS
-
-    wanted = {
-        ENV_TRACE: bool(getattr(args, "trace", None)),
-        ENV_TRACE_EVENTS: bool(getattr(args, "trace_events", False)),
-        ENV_METRICS: bool(getattr(args, "metrics", False)),
-        ENV_PROFILE: bool(getattr(args, "profile", False)),
-    }
-    saved = {}
-    for name, enabled in wanted.items():
-        if enabled:
-            saved[name] = os.environ.get(name)
-            os.environ[name] = "1"
-    return saved
-
-
-def _restore_environment(saved: dict) -> None:
-    for name, old in saved.items():
-        if old is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = old
-
-
-def _set_store_environment(args) -> dict:
-    """Export ``--store``/``--resume`` as environment variables.
-
-    Same rationale as the obs flags: the run store must be visible at
-    the pool chokepoint inside worker processes, and the environment is
-    the only channel that survives both start methods.  Returns the
-    previous values for restoration.
-    """
     from ..store.runstore import ENV_STORE_DIR, ENV_STORE_RESUME
 
-    wanted = {}
+    switches = {
+        ENV_TRACE: getattr(args, "trace", None),
+        ENV_TRACE_EVENTS: getattr(args, "trace_events", False),
+        ENV_METRICS: getattr(args, "metrics", False),
+        ENV_PROFILE: getattr(args, "profile", False),
+        ENV_STORE_RESUME: getattr(args, "resume", False),
+        # Campaigns hand --check-invariants to run_campaign instead.
+        "REPRO_CHECK_INVARIANTS": getattr(args, "check_invariants", False)
+        and args.command in ("run", "all"),
+    }
+    exported = {name: "1" for name, on in switches.items() if on}
     if getattr(args, "store", None):
-        wanted[ENV_STORE_DIR] = args.store
-    if getattr(args, "resume", False):
-        wanted[ENV_STORE_RESUME] = "1"
-    saved = {}
-    for name, value in wanted.items():
-        saved[name] = os.environ.get(name)
-        os.environ[name] = value
-    return saved
+        exported[ENV_STORE_DIR] = args.store
+    saved = {name: os.environ.get(name) for name in exported}
+    os.environ.update(exported)
+    try:
+        yield
+    finally:
+        for name, old in saved.items():
+            if old is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = old
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -542,11 +550,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--resume requires --store DIR (or $REPRO_STORE_DIR)")
     if getattr(args, "validate", None) and not os.path.isdir(args.validate):
         parser.error(f"--validate: baseline directory not found: {args.validate}")
-    if getattr(args, "check_invariants", False) and args.command in ("run", "all"):
-        # The experiment modules build their simulations deep inside
-        # cached helpers (and possibly in pool workers, which inherit the
-        # environment), so the flag travels as an environment variable.
-        os.environ["REPRO_CHECK_INVARIANTS"] = "1"
     if args.command == "list":
         for experiment in list_experiments():
             print(
@@ -554,18 +557,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{experiment.title}"
             )
         return 0
-    saved_env = _set_obs_environment(args)
-    saved_store = _set_store_environment(args)
-    try:
+    with _exported_flags(args):
         if args.command in _CAMPAIGNS:
             return _run_campaign(args)
         if args.command == "run":
             get_experiment(args.experiment_id)  # fail fast on unknown ids
             return _run_ids([args.experiment_id], args)
         return _run_ids([e.experiment_id for e in list_experiments()], args)
-    finally:
-        _restore_environment(saved_store)
-        _restore_environment(saved_env)
 
 
 def _run_campaign(args) -> int:
@@ -593,13 +591,13 @@ def _run_campaign(args) -> int:
         )
     collector = _ArtifactCollector()
     collector.collect(report)
-    collector.emit_sections(args, emitter, report.data)
-    validated = _run_validation(args, emitter, report.data)
-    if args.json:
-        _atomic_write(args.json, json.dumps(report.data, indent=2, default=str))
-    recorder.finish(
+    validated = _finish_run(
+        args,
+        emitter,
+        collector,
+        report.data,
+        recorder,
         name=f"{args.command} {campaign.name}",
-        command=f"repro.experiments {args.command}",
         params={
             "spec": campaign.to_spec(),
             "scale": args.scale,
@@ -607,8 +605,6 @@ def _run_campaign(args) -> int:
             "jobs": args.jobs,
             "check_invariants": args.check_invariants,
         },
-        report_text=emitter.session_content,
-        json_data=report.data,
     )
     return 1 if (violations or not validated) else 0
 

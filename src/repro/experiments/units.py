@@ -3,20 +3,19 @@
 The paper's figures are *views* over a much smaller set of simulations:
 Figs 4/7/8/10 read different metrics off the same five-protocol size
 sweep, Fig 5 and the message accounting share its 8000-member column,
-and Figs 6/9 share the probe runs.  With ``--jobs 1`` the in-process
-caches in :mod:`~repro.experiments.common` already exploit that; with
-``--jobs N`` the legacy pool sharded work *by figure* and every worker
-re-simulated the shared runs from scratch.
+and Figs 6/9 share the probe runs.  This module makes those simulations
+schedulable objects:
 
-This module makes the underlying simulations schedulable objects:
-
-* :class:`ChurnUnit` / :class:`RecoveryUnit` identify one simulation by
-  exactly the parameters the run caches key on — so a unit executed in a
-  worker can be installed into the parent's cache under the very key the
-  consuming figures will look up;
-* figure modules declare their units with :func:`declare_units`; the
-  pool plans over ``units_for(...)``, dedups across figures, executes
-  each unit once, and replays the figures in-process as cheap demux
+* :class:`ChurnUnit` / :class:`RecoveryUnit` name one simulation and
+  build it; :func:`run_unit` serves a unit from the in-process run cache
+  (:mod:`~repro.experiments.common`), keyed by ``unit.cache_key()``, or
+  simulates and caches it;
+* an experiment registers its unit declarer next to its view
+  (``register(..., units=declarer)``, see
+  :mod:`~repro.experiments.registry`): the view receives the results of
+  the declared units in declaration order, and the pool plans over
+  :func:`units_for`, dedups across figures, executes each unit once and
+  seeds the parent's run cache before the views run
   (see :meth:`~repro.experiments.pool.ExperimentPool.run`);
 * payloads cross process boundaries as canonical JSON built from the
   exact serializers on :class:`~repro.simulation.churn.ChurnRunResult` /
@@ -33,12 +32,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from ..obs.capture import ObsUnit
+from ..obs.capture import ObsUnit, emit_unit, obs_fingerprint
 from ..recovery.schemes import RecoveryScheme
-from ..simulation.churn import ChurnRunResult
-from ..simulation.streaming import RecoveryRunResult
+from ..simulation.churn import ChurnRunResult, ChurnSimulation
+from ..simulation.streaming import RecoveryRunResult, RecoverySimulation
 from ..store.keys import unit_key
 from ..store.runstore import active_store, resume_enabled
 from . import common
@@ -55,8 +54,19 @@ PAYLOAD_VERSION = 1
 DEFAULT_PROBE = "default"
 
 
+class _Unit:
+    """What both unit kinds share: the run-cache key."""
+
+    def cache_key(self) -> tuple:
+        """The run-cache key: the unit, the invariant flag and the obs
+        fingerprint, read from the environment at call time (a run
+        checked or observed under one setting is never served under
+        another)."""
+        return (self, common._invariants_enabled(), obs_fingerprint())
+
+
 @dataclass(frozen=True)
-class ChurnUnit:
+class ChurnUnit(_Unit):
     """One churn simulation: (protocol, population, settings, variant)."""
 
     protocol: str
@@ -68,21 +78,7 @@ class ChurnUnit:
     rost_flags: Tuple[Tuple[str, bool], ...] = ()
 
     kind = "churn"
-
-    def cache_key(self) -> tuple:
-        """The parent/worker run-cache key (environment-dependent: folds
-        the invariant flag and obs fingerprint at call time)."""
-        probe_lifetime_s = (
-            common.DEFAULT_PROBE_LIFETIME_S if self.probe == DEFAULT_PROBE else None
-        )
-        return common.churn_key(
-            self.protocol,
-            self.population,
-            self.settings,
-            probe_lifetime_s=probe_lifetime_s,
-            switch_interval_s=self.switch_interval_s,
-            rost_flags=dict(self.rost_flags),
-        )
+    result_type = ChurnRunResult
 
     def store_doc(self) -> dict:
         """Canonical JSON-able identity for the durable store's ledger."""
@@ -98,30 +94,37 @@ class ChurnUnit:
             "checked": common._invariants_enabled(),
         }
 
-    def execute(self) -> dict:
-        """Run (or hit the local cache for) this unit; exact payload."""
+    def build(self, checked: bool) -> Tuple[ChurnSimulation, dict]:
+        """This unit's simulation and the meta of its ObsUnit."""
         probe = None
         if self.probe == DEFAULT_PROBE:
             probe = common.default_probe(self.settings, self.population)
-        result = common.churn_run(
-            self.protocol,
-            self.population,
-            self.settings,
+        config = self.settings.config(self.population)
+        if self.switch_interval_s is not None:
+            config = config.with_switch_interval(self.switch_interval_s)
+        topology, oracle = common.shared_topology(config)
+        sim = ChurnSimulation(
+            config,
+            common.protocol_factory(self.protocol, **dict(self.rost_flags)),
+            topology=topology,
+            oracle=oracle,
+            workload=common.shared_workload(config, probe=probe),
             probe=probe,
-            switch_interval_s=self.switch_interval_s,
-            rost_flags=dict(self.rost_flags) or None,
+            check_invariants=checked,
         )
-        obs_unit = common.captured_churn_obs(self.cache_key())
-        return _payload(self, result, obs_unit)
-
-    def seed(self, payload: dict) -> None:
-        """Install a deserialized payload into this process's run cache."""
-        result = ChurnRunResult.from_payload(payload["result"])
-        common.seed_churn_result(self.cache_key(), result, _obs_from(payload))
+        meta = {
+            "kind": "churn",
+            "protocol": self.protocol,
+            "population": self.population,
+            "seed": self.settings.seed,
+            "scale": self.settings.scale,
+            "switch_interval_s": self.switch_interval_s,
+        }
+        return sim, meta
 
 
 @dataclass(frozen=True)
-class RecoveryUnit:
+class RecoveryUnit(_Unit):
     """One recovery simulation: a scheme grid over one churn pass."""
 
     protocol: str
@@ -131,15 +134,7 @@ class RecoveryUnit:
     replica: int = 0
 
     kind = "recovery"
-
-    def cache_key(self) -> tuple:
-        return common.recovery_key(
-            self.protocol,
-            self.population,
-            self.settings,
-            [s.name for s in self.schemes],
-            replica=self.replica,
-        )
+    result_type = RecoveryRunResult
 
     def store_doc(self) -> dict:
         return {
@@ -153,23 +148,58 @@ class RecoveryUnit:
             "checked": common._invariants_enabled(),
         }
 
-    def execute(self) -> dict:
-        result = common.recovery_run(
-            self.protocol,
-            self.population,
-            self.settings,
+    def build(self, checked: bool) -> Tuple[RecoverySimulation, dict]:
+        config = self.settings.config(self.population)
+        if self.replica:
+            config = config.with_seed(self.settings.seed + 1000 * self.replica)
+        topology, oracle = common.shared_topology(config)
+        sim = RecoverySimulation(
+            config,
+            common.protocol_factory(self.protocol),
             list(self.schemes),
-            replica=self.replica,
+            topology=topology,
+            oracle=oracle,
+            check_invariants=checked,
         )
-        obs_unit = common.captured_recovery_obs(self.cache_key())
-        return _payload(self, result, obs_unit)
-
-    def seed(self, payload: dict) -> None:
-        result = RecoveryRunResult.from_payload(payload["result"])
-        common.seed_recovery_result(self.cache_key(), result, _obs_from(payload))
+        meta = {
+            "kind": "recovery",
+            "protocol": self.protocol,
+            "population": self.population,
+            "seed": config.seed,
+            "scale": self.settings.scale,
+            "replica": self.replica,
+        }
+        return sim, meta
 
 
 SimulationUnit = Union[ChurnUnit, RecoveryUnit]
+
+
+def run_unit(unit: SimulationUnit):
+    """One unit's result: a run-cache hit, which re-emits the captured
+    ObsUnit, or a fresh simulation, which is cached."""
+    key = unit.cache_key()
+    cached = common._run_cache.get(key)
+    if cached is not None:
+        common._cache_stats[unit.kind + "_hits"] += 1
+        result, obs_unit = cached
+        if obs_unit is not None:
+            emit_unit(obs_unit)
+        return result
+    common._cache_stats[unit.kind + "_misses"] += 1
+    _, checked, obs_fp = key
+    sim, meta = unit.build(checked)
+    attachment = None
+    if any(obs_fp):
+        from ..obs.attach import ObsAttachment
+
+        attachment = ObsAttachment(meta=meta).attach(sim)
+    result = sim.run()
+    obs_unit = attachment.finalize(result) if attachment is not None else None
+    common._run_cache[key] = (result, obs_unit)
+    if obs_unit is not None:
+        emit_unit(obs_unit)
+    return result
 
 
 def _payload(unit: SimulationUnit, result, obs_unit: Optional[ObsUnit]) -> dict:
@@ -201,8 +231,6 @@ def sim_unit_store_key(unit: SimulationUnit) -> str:
     job keys fold it (traced and untraced captures must never
     cross-replay).
     """
-    from ..obs.capture import obs_fingerprint
-
     doc = unit.store_doc()
     return unit_key(
         f"sim:{doc['unit']}",
@@ -232,46 +260,30 @@ def run_unit_task(unit: SimulationUnit) -> str:
             if parsed.get("version") == PAYLOAD_VERSION:
                 return stored
             store.ledger.forget_unit(key)
-    payload = unit.execute()
-    blob = json.dumps(payload, separators=(",", ":"))
+    result = run_unit(unit)
+    _, obs_unit = common._run_cache[unit.cache_key()]
+    blob = json.dumps(_payload(unit, result, obs_unit), separators=(",", ":"))
     if store is not None:
         store.record_sim_unit(key, unit, blob)
     return blob
 
 
 def seed_unit(unit: SimulationUnit, payload_json: str) -> None:
-    """Install a worker-produced payload into this process's caches."""
-    unit.seed(json.loads(payload_json))
-
-
-# -- figure declarations ----------------------------------------------------------
-
-_DECLARERS: Dict[str, Callable[..., List[SimulationUnit]]] = {}
-
-
-def declare_units(experiment_id: str):
-    """Register the unit declarer for one experiment.
-
-    The declarer receives the same kwargs as the experiment's ``run``
-    (scale, seed, and any figure-specific overrides) and must return the
-    exact simulation units ``run`` will consume — same parameters, same
-    cache keys — or the demux phase would re-simulate in the parent.
-    Experiments without a declarer (campaign drivers, the direct-sim
-    extensions) are scheduled as whole jobs, as before.
-    """
-
-    def decorate(fn):
-        _DECLARERS[experiment_id] = fn
-        return fn
-
-    return decorate
+    """Install a worker-produced payload into this process's run cache."""
+    payload = json.loads(payload_json)
+    result = unit.result_type.from_payload(payload["result"])
+    common._run_cache[unit.cache_key()] = (result, _obs_from(payload))
 
 
 def units_for(
     experiment_id: str, scale: float, seed: int, **kwargs
 ) -> Optional[List[SimulationUnit]]:
-    """The units one job would simulate, or ``None`` if not declared."""
-    declarer = _DECLARERS.get(experiment_id)
-    if declarer is None:
+    """The units one job's view reads, or ``None`` for an experiment
+    registered without a declarer (campaign drivers and the direct-sim
+    extensions, which the pool runs as whole jobs)."""
+    from .registry import REGISTRY
+
+    experiment = REGISTRY.get(experiment_id)
+    if experiment is None or experiment.units is None:
         return None
-    return declarer(scale=scale, seed=seed, **kwargs)
+    return experiment.units(scale=scale, seed=seed, **kwargs)

@@ -361,9 +361,9 @@ class ObsAttachment:
         """Emit the run_end record, snapshot metrics, build the unit.
 
         Safe to call once; the unit is also handed to the ambient
-        :func:`~repro.obs.capture.job_capture` by the *caller* (the
-        cached run helpers need to stash the unit for replay, so emission
-        stays their responsibility).
+        :func:`~repro.obs.capture.job_capture` by the *caller* (the run
+        cache needs to stash the unit for replay, so emission stays its
+        responsibility).
         """
         if self._finalized:
             raise ValueError("ObsAttachment.finalize called twice")

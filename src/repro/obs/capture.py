@@ -2,8 +2,8 @@
 
 The CLI's ``--trace`` / ``--metrics`` / ``--profile`` switches travel as
 environment variables, the same pattern ``REPRO_CHECK_INVARIANTS`` uses:
-the flags must reach pool worker processes and the cached run helpers in
-:mod:`repro.experiments.common` alike, and an env var is the only channel
+the flags must reach pool worker processes and the in-process unit runs
+of :mod:`repro.experiments.units` alike, and an env var is the only channel
 that survives both the ``fork`` and ``spawn`` start methods.
 
 Within one experiment job, every simulation that runs under an

@@ -8,7 +8,7 @@ Two kinds of digest, both SHA-256 hex:
   (campaign spec JSON, scenario, protocol/scheme, feature flags), so two
   jobs collide exactly when re-running one would reproduce the other's
   bytes.  The observability fingerprint is part of the key for the same
-  reason it keys the in-process run caches: a result captured with
+  reason it keys the in-process run cache: a result captured with
   tracing enabled carries different artifacts than one captured without,
   and replaying across the two would corrupt merged traces.
 * **Content digests** name stored artifact payloads — the hash of the

@@ -175,7 +175,7 @@ def test_shared_sweeps_are_cached():
     """fig07 after fig04 must reuse the cached churn runs."""
     common.clear_caches()
     get_experiment("fig04").run(sizes=(2000,), **TINY)
-    cached_before = dict(common._churn_cache)
+    cached_before = dict(common._run_cache)
     get_experiment("fig07").run(sizes=(2000,), **TINY)
     # no new churn runs were needed
-    assert set(common._churn_cache) == set(cached_before)
+    assert set(common._run_cache) == set(cached_before)

@@ -5,12 +5,12 @@ import pytest
 from repro.experiments import common
 from repro.experiments.common import (
     SweepSettings,
-    churn_run,
     default_probe,
     protocol_factory,
     shared_topology,
     shared_workload,
 )
+from repro.experiments.units import ChurnUnit, run_unit
 from repro.protocols.rost import RostProtocol
 
 
@@ -65,10 +65,10 @@ def test_shared_workload_keyed_by_topology():
 
 
 def test_churn_run_cached_by_full_key():
-    a = churn_run("min-depth", 2000, TINY)
-    b = churn_run("min-depth", 2000, TINY)
+    a = run_unit(ChurnUnit("min-depth", 2000, TINY))
+    b = run_unit(ChurnUnit("min-depth", 2000, TINY))
     assert a is b
-    c = churn_run("min-depth", 2000, TINY, switch_interval_s=480.0)
+    c = run_unit(ChurnUnit("min-depth", 2000, TINY, switch_interval_s=480.0))
     assert c is not a
 
 
@@ -94,6 +94,8 @@ def test_protocol_factory_rejects_flags_on_baselines():
 
 
 def test_rost_flag_runs_not_conflated_in_cache():
-    default = churn_run("rost", 2000, TINY)
-    ablated = churn_run("rost", 2000, TINY, rost_flags={"promote_into_spare": False})
+    default = run_unit(ChurnUnit("rost", 2000, TINY))
+    ablated = run_unit(
+        ChurnUnit("rost", 2000, TINY, rost_flags=(("promote_into_spare", False),))
+    )
     assert default is not ablated

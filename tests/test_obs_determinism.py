@@ -85,6 +85,24 @@ def test_obs_env_restored_after_main(tmp_path):
         assert name not in os.environ, f"{name} leaked out of main()"
 
 
+def test_check_invariants_env_restored_after_main(tmp_path, monkeypatch):
+    """--check-invariants must not stay on for later runs in the process."""
+    monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+    store = tmp_path / "runs.runstore"
+    code = main([
+        "run", "fig05",
+        "--scale", "0.02",
+        "--seed", "3",
+        "--jobs", "1",
+        "--check-invariants",
+        "--store", str(store),
+    ])
+    assert code == 0
+    for name in ("REPRO_CHECK_INVARIANTS", "REPRO_STORE_DIR"):
+        assert name not in os.environ, f"{name} leaked out of main()"
+    assert not common._invariants_enabled()
+
+
 def test_untraced_run_writes_no_trace_file(tmp_path):
     common.clear_caches()
     code = main(["run", "fig05", "--scale", "0.02", "--seed", "3", "--jobs", "1"])

@@ -22,8 +22,8 @@ def _churn_run_for(meta):
     """Find the cached ChurnRunResult this metrics unit was captured from."""
     matches = [
         run
-        for key, run in common._churn_cache.items()
-        if key[1] == meta["protocol"] and key[2] == meta["population"]
+        for (unit, _, _), (run, _) in common._run_cache.items()
+        if unit.protocol == meta["protocol"] and unit.population == meta["population"]
     ]
     assert len(matches) == 1, f"ambiguous cache match for {meta}"
     return matches[0]
@@ -38,7 +38,7 @@ def test_registry_reconciles_with_legacy_collectors(experiment_id):
     units = result.artifacts.get("metrics", [])
     assert units, "metrics channel enabled but no units captured"
     # One unit per executed churn run, nothing double- or under-counted.
-    assert len(units) == len(common._churn_cache)
+    assert len(units) == len(common._run_cache)
 
     for unit in units:
         meta = unit["meta"]

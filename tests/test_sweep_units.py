@@ -32,14 +32,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import common
-from repro.experiments import units as units_module
+from repro.experiments import common, registry
 from repro.experiments.common import SweepSettings
-from repro.experiments.pool import ExperimentJob, ExperimentPool, run_jobs
+from repro.experiments.pool import (
+    ExperimentJob,
+    ExperimentPool,
+    execute_job,
+    run_jobs,
+)
 from repro.experiments.units import (
     DEFAULT_PROBE,
     ChurnUnit,
     RecoveryUnit,
+    run_unit,
     run_unit_task,
     seed_unit,
     units_for,
@@ -116,7 +121,11 @@ def test_declarer_error_fails_the_plan(monkeypatch):
     def broken(**_):
         raise TypeError("declarer bug")
 
-    monkeypatch.setitem(units_module._DECLARERS, "fig04", broken)
+    monkeypatch.setitem(
+        registry.REGISTRY,
+        "fig04",
+        dataclasses.replace(registry.REGISTRY["fig04"], units=broken),
+    )
     with pytest.raises(TypeError, match="declarer bug"):
         run_jobs([ExperimentJob.make("fig04", scale=0.02, seed=3)], parallel_jobs=2)
 
@@ -212,12 +221,34 @@ def test_executed_unit_payload_seeds_an_identical_cache_entry():
     """run_unit_task -> seed_unit reproduces the local cache entry exactly."""
     unit = ChurnUnit("min-depth", 2000, SETTINGS)
     blob = run_unit_task(unit)
-    direct = common.churn_run("min-depth", 2000, SETTINGS)
+    direct = run_unit(ChurnUnit("min-depth", 2000, SETTINGS))
     common.clear_caches()
     seed_unit(unit, blob)
-    seeded = common.churn_run("min-depth", 2000, SETTINGS)
+    seeded = run_unit(ChurnUnit("min-depth", 2000, SETTINGS))
     assert common.cache_stats()["churn_hits"] == 1
     assert _canonical(seeded.to_payload()) == _canonical(direct.to_payload())
+
+
+@pytest.mark.parametrize("experiment_id", ["fig06", "fig09"])
+def test_probe_figure_demuxes_without_an_underlay(experiment_id, monkeypatch):
+    """A probe figure's view reads the probe's join time off its results,
+    so demuxing seeded units builds no underlay."""
+    job = ExperimentJob.make(experiment_id, scale=0.02, seed=3)
+    serial = execute_job(job)
+    payloads = [(unit, run_unit_task(unit)) for unit in units_for(experiment_id, 0.02, 3)]
+    common.clear_caches()
+    for unit, blob in payloads:
+        seed_unit(unit, blob)
+
+    def no_underlay(config):
+        raise AssertionError("demux built an underlay")
+
+    monkeypatch.setattr(common, "shared_topology", no_underlay)
+    demuxed = execute_job(job)
+    assert demuxed.table == serial.table
+    assert json.dumps(demuxed.data, sort_keys=True) == json.dumps(
+        serial.data, sort_keys=True
+    )
 
 
 # -- byte-identity: unit-scheduled vs serial ---------------------------------------
