@@ -42,13 +42,17 @@ Robustness model:
   the process boundary.
 * Workers are forked wherever the platform can fork, whatever the
   default start method: they must inherit state that exists only in the
-  parent's memory (see :meth:`ExperimentPool._run_parallel`).
+  parent's memory (see :meth:`ExperimentPool._run_parallel`).  The obs,
+  store and invariant flags reach them through the environment, which
+  forked and spawned workers both inherit; the initializer only points
+  ``REPRO_CACHE_DIR`` at the shared topology cache.
 * Worker processes are capped at the machine's core count: the sims are
   CPU-bound, so extra processes only add contention.  ``--jobs`` remains
   the requested ceiling and has no effect on results.
 * With the durable store active, units are recorded/replayed under
   ``sim:churn`` / ``sim:recovery`` ledger ids, so ``--resume`` composes
-  at unit granularity (see :func:`~repro.experiments.units.run_unit_task`).
+  at unit granularity at any ``--jobs`` (see
+  :func:`~repro.experiments.units.run_unit`).
 """
 
 from __future__ import annotations
@@ -62,14 +66,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..obs.capture import apply_obs_env, job_capture, obs_env
+from ..obs.capture import job_capture
 from ..obs.profile import record_stage, stage_timer
-from ..store.runstore import (
-    active_store,
-    apply_store_env,
-    resume_enabled,
-    store_env,
-)
+from ..store.runstore import active_store, resume_enabled
 from ..topology.cache import ENV_CACHE_DIR
 from . import units as units_mod
 from .registry import ExperimentResult, run_experiment
@@ -139,14 +138,8 @@ def execute_job(job: ExperimentJob) -> ExperimentResult:
     return result
 
 
-def _worker_init(cache_dir: str, obs_flags: dict, store_flags: dict) -> None:
+def _worker_init(cache_dir: str) -> None:
     os.environ[ENV_CACHE_DIR] = cache_dir
-    # Re-export the observability and run-store flags explicitly: with
-    # the fork start method they are inherited anyway, but spawn-based
-    # platforms would otherwise silently drop tracing/checkpointing in
-    # workers.
-    apply_obs_env(obs_flags)
-    apply_store_env(store_flags)
 
 
 class ExperimentPool:
@@ -273,7 +266,7 @@ class ExperimentPool:
                 max_workers=worker_slots,
                 mp_context=context,
                 initializer=_worker_init,
-                initargs=(cache_dir, obs_env(), store_env()),
+                initargs=(cache_dir,),
             )
             # Phase 2: execute each deduplicated simulation unit once,
             # alongside the legacy whole jobs (they share the worker

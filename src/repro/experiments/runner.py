@@ -10,8 +10,9 @@ Examples::
 ``--jobs N`` fans independent (experiment × seed) simulations out over N
 worker processes (default: one per CPU); results are merged in
 deterministic order, so the emitted tables are byte-identical to a
-``--jobs 1`` run.  Output files (``--out``, ``--json``) are written
-atomically — a crashed or killed run never leaves a truncated file.
+``--jobs 1`` run.  Output files (``--out``, ``--json``, ``--trace``) are
+written atomically — a crashed or killed run never leaves a truncated
+file.
 
 ``--store DIR`` additionally checkpoints every completed unit into a
 durable run store (``docs/store.md``), and ``--resume`` replays the
@@ -156,7 +157,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--check-invariants",
         action="store_true",
         help="run every simulation under the strict runtime invariant "
-        "checker (see docs/invariants.md); the first violation aborts",
+        "checker (see docs/invariants.md); the first violation aborts. "
+        "Not reached yet: ext-multitree, ext-rescue, faults_campaign, "
+        "faults_scenario, multitree_resilience and multitree_scenario "
+        "(check the campaigns with their own subcommands' flag)",
     )
     _add_validate_argument(parser)
     _add_obs_arguments(parser)
@@ -194,7 +198,7 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="collect per-subsystem metrics registries and report their "
+        help="collect each observed run's metrics snapshot and report their "
         "aggregated totals (also exported under _obs_metrics in --json)",
     )
     parser.add_argument(
@@ -224,16 +228,22 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _atomic_write(path: str, content: str) -> None:
-    """Write ``content`` to ``path`` via a temp file + rename.
+    """Publish ``content`` at ``path``: the writer of ``--out``, ``--json``
+    and ``--trace``.
 
-    Readers either see the previous complete version or the new complete
-    version — never a truncated file, even if the process dies mid-write.
+    The text goes to a temp file in the target directory, which is
+    fsynced and renamed over ``path``.  Readers see either the previous
+    complete file or the new one, never a truncated file, even if the
+    process dies mid-write, and a failed write leaves no temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".repro-out-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(content)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
@@ -303,9 +313,9 @@ class _ArtifactCollector:
         never into --json or the trace.
         """
         if getattr(args, "trace", None):
-            from ..obs.trace import write_trace_lines
-
-            write_trace_lines(args.trace, self.trace_lines)
+            _atomic_write(
+                args.trace, "".join(line + "\n" for line in self.trace_lines)
+            )
             # stderr, like the [store] line: a traced run's --out must
             # equal an untraced run's byte for byte.
             print(

@@ -24,7 +24,7 @@ schedulable objects:
   replay byte-for-byte;
 * with the durable store active, executed units are recorded under
   ``sim:churn`` / ``sim:recovery`` ledger ids and ``--resume`` replays
-  them instead of re-simulating (:func:`run_unit_task`).
+  them instead of re-simulating (:func:`run_unit`, at any ``--jobs``).
 """
 
 from __future__ import annotations
@@ -176,17 +176,41 @@ SimulationUnit = Union[ChurnUnit, RecoveryUnit]
 
 
 def run_unit(unit: SimulationUnit):
-    """One unit's result: a run-cache hit, which re-emits the captured
-    ObsUnit, or a fresh simulation, which is cached."""
+    """One unit's result, the path every unit takes at any ``--jobs``.
+
+    A run-cache hit re-emits the captured ObsUnit and never touches the
+    store; a miss fills the cache (:func:`_replay_or_simulate`).
+    """
     key = unit.cache_key()
     cached = common._run_cache.get(key)
-    if cached is not None:
+    if cached is None:
+        common._cache_stats[unit.kind + "_misses"] += 1
+        _replay_or_simulate(unit, key)
+        cached = common._run_cache[key]
+    else:
         common._cache_stats[unit.kind + "_hits"] += 1
-        result, obs_unit = cached
-        if obs_unit is not None:
-            emit_unit(obs_unit)
-        return result
-    common._cache_stats[unit.kind + "_misses"] += 1
+    result, obs_unit = cached
+    if obs_unit is not None:
+        emit_unit(obs_unit)
+    return result
+
+
+def _replay_or_simulate(unit: SimulationUnit, key: tuple) -> None:
+    """Put ``unit``'s result in the run cache under ``key``.
+
+    With the durable store active, ``--resume`` replays a stored unit
+    instead of simulating it, and a simulated unit is recorded, so a run
+    killed mid-figure resumes at unit, not figure, granularity.
+    """
+    store = active_store()
+    store_key = sim_unit_store_key(unit) if store is not None else None
+    if store is not None and resume_enabled():
+        stored = store.replay_sim_unit(store_key)
+        if stored is not None:
+            if json.loads(stored).get("version") == PAYLOAD_VERSION:
+                seed_unit(unit, stored)
+                return
+            store.ledger.forget_unit(store_key)
     _, checked, obs_fp = key
     sim, meta = unit.build(checked)
     attachment = None
@@ -196,19 +220,20 @@ def run_unit(unit: SimulationUnit):
         attachment = ObsAttachment(meta=meta).attach(sim)
     result = sim.run()
     obs_unit = attachment.finalize(result) if attachment is not None else None
+    if store is not None:
+        store.record_sim_unit(store_key, unit, _payload_json(unit, result, obs_unit))
     common._run_cache[key] = (result, obs_unit)
-    if obs_unit is not None:
-        emit_unit(obs_unit)
-    return result
 
 
-def _payload(unit: SimulationUnit, result, obs_unit: Optional[ObsUnit]) -> dict:
-    return {
+def _payload_json(unit: SimulationUnit, result, obs_unit: Optional[ObsUnit]) -> str:
+    """The unit's canonical payload JSON."""
+    payload = {
         "version": PAYLOAD_VERSION,
         "kind": unit.kind,
         "result": result.to_payload(),
         "obs": dataclasses.asdict(obs_unit) if obs_unit is not None else None,
     }
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def _obs_from(payload: dict) -> Optional[ObsUnit]:
@@ -244,28 +269,13 @@ def sim_unit_store_key(unit: SimulationUnit) -> str:
 def run_unit_task(unit: SimulationUnit) -> str:
     """Execute one unit (worker entry point); returns the payload JSON.
 
-    The durable store composes at this level: with ``--resume`` a stored
-    unit is replayed instead of simulated, and every genuinely executed
-    unit is recorded, so a campaign killed mid-sweep resumes at unit —
-    not figure — granularity.  Shipping the canonical JSON string (not
-    the dict) across the process boundary makes the byte-exactness of
-    the payload independent of pickle's float handling.
+    Shipping the canonical JSON string (not the dict) across the process
+    boundary makes the byte-exactness of the payload independent of
+    pickle's float handling.
     """
-    store = active_store()
-    key = sim_unit_store_key(unit) if store is not None else None
-    if store is not None and resume_enabled():
-        stored = store.replay_sim_unit(key)
-        if stored is not None:
-            parsed = json.loads(stored)
-            if parsed.get("version") == PAYLOAD_VERSION:
-                return stored
-            store.ledger.forget_unit(key)
     result = run_unit(unit)
     _, obs_unit = common._run_cache[unit.cache_key()]
-    blob = json.dumps(_payload(unit, result, obs_unit), separators=(",", ":"))
-    if store is not None:
-        store.record_sim_unit(key, unit, blob)
-    return blob
+    return _payload_json(unit, result, obs_unit)
 
 
 def seed_unit(unit: SimulationUnit, payload_json: str) -> None:

@@ -149,24 +149,10 @@ class DegradedOracle:
         return base * factor
 
     def delays_from(self, source: int, targets) -> "np.ndarray":
-        """Batched counterpart of :meth:`delay_ms` (same window semantics).
-
-        Applies each window's factor in activation order, exactly like the
-        scalar loop, so the products are bit-identical element-wise.
-        """
-        base = self._inner.delays_from(source, targets)
-        if not self._windows:
-            return base
-        node_domain = self._topology.node_domain
-        du = int(node_domain[source])
-        dv = np.asarray(node_domain)[np.asarray(targets, dtype=np.int64)]
-        factor = np.ones(base.shape, dtype=np.float64)
-        for domains, f in self._windows:
-            if domains is None or du in domains:
-                factor *= f
-            else:
-                factor[np.isin(dv, list(domains))] *= f
-        return base * factor
+        """Exactly ``[self.delay_ms(source, t) for t in targets]`` as
+        float64, like :meth:`DelayOracle.delays_from`."""
+        delay_ms = self.delay_ms
+        return np.array([delay_ms(source, t) for t in targets], dtype=np.float64)
 
 
 class FaultInjector:

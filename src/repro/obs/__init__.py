@@ -13,7 +13,7 @@ Three independent channels (see ``docs/observability.md``):
 * **trace** — typed JSONL records (:mod:`repro.obs.trace`,
   :mod:`repro.obs.schema`).  Records carry only virtual time and are
   byte-identical for a given seed at any ``--jobs`` value.
-* **metrics** — per-subsystem counters/gauges/histograms
+* **metrics** — one snapshot of counters/gauges/histograms per run
   (:mod:`repro.obs.metrics`), exported into runner/campaign JSON reports.
 * **profile** — wall-clock attribution per event type and per pool stage
   (:mod:`repro.obs.profile`).  Wall times never enter the trace channel.
@@ -37,16 +37,7 @@ from .capture import (
     trace_enabled,
     trace_events_enabled,
 )
-from .metrics import (
-    NULL_INSTRUMENT,
-    SUBSYSTEMS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    aggregate_units,
-    render_metrics_section,
-)
+from .metrics import Histogram, aggregate_units, render_metrics_section
 from .profile import (
     Profiler,
     drain_stages,
@@ -68,14 +59,9 @@ __all__ = [
     "ENV_PROFILE",
     "ENV_TRACE",
     "ENV_TRACE_EVENTS",
-    "NULL_INSTRUMENT",
     "RECORD_TYPES",
-    "SUBSYSTEMS",
     "TRACE_SCHEMA_VERSION",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "ObsAttachment",
     "ObsUnit",
     "Profiler",

@@ -11,12 +11,10 @@ the engine's ``profile`` slot.  Protocol and kernel code is never
 modified, and unless the trace or metrics channel is enabled nothing is
 subscribed at all, preserving the engine's no-listener fast path.
 
-Counting is done with plain integer attributes in the topic methods
-(cheaper than any instrument indirection); the metrics registry is
-populated once at :meth:`finalize`.  The registry is therefore a pure
-export surface and the counts stay independent of the legacy
-:mod:`repro.metrics` collectors — which is what lets the reconciliation
-tests assert the two agree.
+Counting is done with plain integer attributes in the topic methods;
+:meth:`finalize` copies them into the run's metrics snapshot.  The
+counts stay independent of the :mod:`repro.metrics` collectors, which is
+what lets the reconciliation tests assert the two agree.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .capture import (
     trace_enabled,
     trace_events_enabled,
 )
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram
 from .profile import Profiler
 from .schema import TRACE_SCHEMA_VERSION
 from .trace import TraceWriter
@@ -61,27 +59,19 @@ class ObsAttachment:
         trace_events: Optional[bool] = None,
         metrics: Optional[bool] = None,
         profile: Optional[bool] = None,
-        trace_path: Optional[str] = None,
     ) -> None:
         self.meta: Dict[str, object] = dict(meta or {})
         self._trace = trace_enabled() if trace is None else trace
-        if trace_path is not None:
-            self._trace = True
         self._trace_events = (
             trace_events_enabled() if trace_events is None else trace_events
         )
         self._metrics = metrics_enabled() if metrics is None else metrics
         self._profile = profile_enabled() if profile is None else profile
-        self.writer: Optional[TraceWriter] = (
-            TraceWriter(trace_path) if self._trace else None
-        )
-        self.registry: Optional[MetricsRegistry] = (
-            MetricsRegistry() if self._metrics else None
-        )
+        self.writer: Optional[TraceWriter] = TraceWriter() if self._trace else None
         self.profiler: Optional[Profiler] = Profiler() if self._profile else None
 
-        # Hot-loop tallies (plain ints; exported to the registry at
-        # finalize).  All are virtual-time deterministic.
+        # Hot-loop tallies (plain ints; exported to the metrics snapshot
+        # at finalize).  All are virtual-time deterministic.
         self._events_dispatched = 0
         self._fault_activations = 0
         self._disruption_failures = 0
@@ -311,51 +301,44 @@ class ObsAttachment:
 
     # -- export ------------------------------------------------------------------------
 
-    def _populate_registry(self) -> None:
-        registry = self.registry
-        if registry is None:
-            return
-        registry.counter("sim", "events_processed").inc(self._events_dispatched)
-        registry.counter("faults", "activations").inc(self._fault_activations)
-        if self._churn is not None:
-            counter = registry.counter
-            counter("overlay", "disruption_failures").inc(self._disruption_failures)
-            counter("overlay", "disruption_events").inc(self._disruption_events)
-            counter("overlay", "optimization_reconnections").inc(
-                self._opt_reconnections
+    def _metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
+        """The run's metrics, keyed ``<subsystem>.<name>``, keys sorted."""
+        counters: Dict[str, int] = {
+            "sim.events_processed": self._events_dispatched,
+            "faults.activations": self._fault_activations,
+        }
+        gauges: Dict[str, float] = {}
+        histograms: Dict[str, Dict[str, float]] = {}
+        churn = self._churn
+        if churn is not None:
+            counters.update(
+                {
+                    "overlay.disruption_failures": self._disruption_failures,
+                    "overlay.disruption_events": self._disruption_events,
+                    "overlay.optimization_reconnections": self._opt_reconnections,
+                    "overlay.failure_reconnections": self._failure_reconnections,
+                    "overlay.control_messages": churn.ctx.messages.total,
+                    "overlay.tree_switch_ops": self._switches,
+                    "overlay.tree_promotions": self._promotions,
+                }
             )
-            counter("overlay", "failure_reconnections").inc(
-                self._failure_reconnections
+            histograms["overlay.disruption_subtree_size"] = (
+                self._subtree_hist.as_dict()
             )
-            counter("overlay", "control_messages").inc(
-                self._churn.ctx.messages.total
-            )
-            counter("overlay", "tree_switch_ops").inc(self._switches)
-            counter("overlay", "tree_promotions").inc(self._promotions)
-            hist = registry.histogram("overlay", "disruption_subtree_size")
-            if self._subtree_hist.count:
-                hist.count = self._subtree_hist.count
-                hist.total = self._subtree_hist.total
-                hist.min = self._subtree_hist.min
-                hist.max = self._subtree_hist.max
-            protocol = self._churn.protocol
             for name in ("switches", "promotions", "lock_failures"):
-                if hasattr(protocol, name):
-                    counter("rost", name).inc(int(getattr(protocol, name)))
-            registry.gauge("sim", "pending_events_final").set(
-                float(self._sim.pending_events)
-            )
-            registry.gauge("overlay", "final_attached").set(
-                float(self._churn.tree.num_attached)
-            )
-        for scheme_name, (episodes, gap, repaired) in sorted(
-            self._recovery.items()
-        ):
-            registry.counter("recovery", f"episodes.{scheme_name}").inc(episodes)
-            registry.counter("recovery", f"gap_packets.{scheme_name}").inc(gap)
-            registry.counter("recovery", f"repaired_packets.{scheme_name}").inc(
-                repaired
-            )
+                if hasattr(churn.protocol, name):
+                    counters["rost." + name] = getattr(churn.protocol, name)
+            gauges["sim.pending_events_final"] = float(self._sim.pending_events)
+            gauges["overlay.final_attached"] = float(churn.tree.num_attached)
+        for scheme_name, (episodes, gap, repaired) in self._recovery.items():
+            counters[f"recovery.episodes.{scheme_name}"] = episodes
+            counters[f"recovery.gap_packets.{scheme_name}"] = gap
+            counters[f"recovery.repaired_packets.{scheme_name}"] = repaired
+        return {
+            "counters": {key: int(value) for key, value in sorted(counters.items())},
+            "gauges": dict(sorted(gauges.items())),
+            "histograms": dict(sorted(histograms.items())),
+        }
 
     def finalize(self, result=None) -> ObsUnit:
         """Emit the run_end record, snapshot metrics, build the unit.
@@ -382,16 +365,9 @@ class ObsAttachment:
                     "switches": int(self._switches + self._promotions),
                 }
             )
-        self._populate_registry()
-        trace_lines: List[str] = []
-        if writer is not None:
-            if writer._path is not None:
-                writer.close()
-            else:
-                trace_lines = list(writer.lines)
         return ObsUnit(
             meta=dict(self.meta),
-            trace_lines=trace_lines,
-            metrics=self.registry.snapshot() if self.registry else {},
+            trace_lines=writer.lines if writer is not None else [],
+            metrics=self._metrics_snapshot() if self._metrics else {},
             profile=self.profiler.as_dict() if self.profiler else {},
         )

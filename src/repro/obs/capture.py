@@ -3,8 +3,8 @@
 The CLI's ``--trace`` / ``--metrics`` / ``--profile`` switches travel as
 environment variables, the same pattern ``REPRO_CHECK_INVARIANTS`` uses:
 the flags must reach pool worker processes and the in-process unit runs
-of :mod:`repro.experiments.units` alike, and an env var is the only channel
-that survives both the ``fork`` and ``spawn`` start methods.
+of :mod:`repro.experiments.units` alike, and a pool worker inherits
+``os.environ`` whether it is forked or spawned.
 
 Within one experiment job, every simulation that runs under an
 :class:`~repro.obs.attach.ObsAttachment` finalizes into one
@@ -78,17 +78,10 @@ def obs_fingerprint() -> Tuple[bool, bool, bool, bool]:
 
 
 def obs_env() -> Dict[str, str]:
-    """The currently-set obs env vars, for explicit worker-init export."""
+    """The currently-set obs env vars (recorded in benchmark metadata)."""
     return {
         name: os.environ[name] for name in _ENV_FLAGS if name in os.environ
     }
-
-
-def apply_obs_env(env: Dict[str, str]) -> None:
-    """Install exported flags in a worker process (spawn-safe)."""
-    for name in _ENV_FLAGS:
-        os.environ.pop(name, None)
-    os.environ.update(env)
 
 
 @dataclass
@@ -97,7 +90,7 @@ class ObsUnit:
 
     ``trace_lines`` are pre-serialized JSONL strings (no trailing
     newline) so replaying a cached unit is byte-exact by construction.
-    ``metrics`` is a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    ``metrics`` is the run's snapshot (see :mod:`repro.obs.metrics`)
     and is fully deterministic; ``profile`` holds wall-clock data and is
     the only nondeterministic field — it never feeds the trace channel.
     """

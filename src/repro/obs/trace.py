@@ -1,109 +1,26 @@
-"""JSONL trace sink with bounded buffering and atomic finalization.
+"""JSONL trace sink: records serialized to compact lines in memory.
 
-Two modes:
-
-* **memory** (``path=None``): lines accumulate in a list.  This is what
-  :class:`~repro.obs.attach.ObsAttachment` uses inside experiment jobs —
-  the lines ride back to the runner on the result's artifacts and are
-  merged into one file in submission order, which is what makes the
-  final trace byte-identical at any ``--jobs`` value.
-* **file**: lines stream to ``<path>.tmp-<pid>`` in bounded batches and
-  the temp file is renamed over ``path`` only on :meth:`close`.  A
-  crashed run therefore never leaves a torn half-trace at the final
-  path, and readers only ever observe complete traces.
+:class:`~repro.obs.attach.ObsAttachment` writes one per observed run;
+the lines ride back to the runner on the result's artifacts and are
+merged into one file in submission order, which is what makes the final
+trace byte-identical at any ``--jobs`` value.  The runner publishes the
+merged file atomically, like ``--out`` and ``--json``.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class TraceWriter:
-    """Serializes typed records to compact JSONL."""
+    """Serializes typed records to compact JSONL lines (no newline)."""
 
-    def __init__(self, path: Optional[str] = None, buffer_records: int = 512) -> None:
-        if buffer_records < 1:
-            raise ValueError("buffer_records must be >= 1")
-        self._buffer_records = buffer_records
-        self.records_emitted = 0
-        self._path = path
-        self._closed = False
-        self._lines: List[str] = []
-        self._handle = None
-        self._tmp_path: Optional[str] = None
-        if path is not None:
-            directory = os.path.dirname(os.path.abspath(path))
-            os.makedirs(directory, exist_ok=True)
-            self._tmp_path = f"{path}.tmp-{os.getpid()}"
-            self._handle = open(self._tmp_path, "w", encoding="utf-8")
+    def __init__(self) -> None:
+        self.lines: List[str] = []
 
     def emit(self, record: Dict[str, object]) -> None:
         """Serialize one record.  Key order is preserved (insertion
         order), separators are compact — both are part of the
         byte-identity contract."""
-        if self._closed:
-            raise ValueError("TraceWriter is closed")
-        self._lines.append(json.dumps(record, separators=(",", ":")))
-        self.records_emitted += 1
-        if self._handle is not None and len(self._lines) >= self._buffer_records:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._lines:
-            self._handle.write("".join(line + "\n" for line in self._lines))
-            self._lines.clear()
-
-    @property
-    def lines(self) -> List[str]:
-        """Emitted lines (memory mode only)."""
-        if self._path is not None:
-            raise ValueError("lines are only retained in memory mode")
-        return self._lines
-
-    def close(self) -> None:
-        """Flush and atomically publish the trace file (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._handle is not None:
-            self._flush()
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            os.replace(self._tmp_path, self._path)
-
-    def abort(self) -> None:
-        """Discard the trace without publishing the final path."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._handle is not None:
-            self._handle.close()
-            try:
-                os.unlink(self._tmp_path)
-            except OSError:
-                pass
-        self._lines.clear()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
-def write_trace_lines(path: str, lines: List[str]) -> None:
-    """Write pre-serialized trace lines to ``path`` atomically."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = f"{path}.tmp-{os.getpid()}"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write("".join(line + "\n" for line in lines))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+        self.lines.append(json.dumps(record, separators=(",", ":")))

@@ -37,9 +37,6 @@ class OverlayNode:
         "claimed_join_time",
         "_uplink_parent",
         "_uplink_delay",
-        "_path_cache",
-        "_path_epoch",
-        "_epoch_cell",
     )
 
     def __init__(
@@ -85,11 +82,6 @@ class OverlayNode:
         #: only consulted when the oracle reports ``stable_delays``.
         self._uplink_parent: Optional[OverlayNode] = None
         self._uplink_delay = 0.0
-        #: Root-path cache, invalidated by the owning tree's epoch counter
-        #: (bumped on any structural mutation; see overlay.tree).
-        self._path_cache: Optional[tuple] = None
-        self._path_epoch = -1
-        self._epoch_cell: Optional[list] = None
 
     # -- derived properties ---------------------------------------------------
 

@@ -45,13 +45,6 @@ class MulticastTree:
         #: Fired for every node that loses its attached position.
         self.detach_listeners: List[PositionListener] = []
         self._attached_count = 1
-        #: Structural-mutation counter, shared with every member node as a
-        #: one-element list cell.  Any operation that can change *some*
-        #: node's root path bumps it; per-node root-path caches
-        #: (recovery.mlc) compare their snapshot against the cell to
-        #: revalidate in O(1) without per-node invalidation walks.
-        self._epoch_cell: List[int] = [0]
-        root._epoch_cell = self._epoch_cell
 
     # -- registration ---------------------------------------------------------
 
@@ -64,7 +57,6 @@ class MulticastTree:
         node.parent = None
         node.attached = False
         node.layer = -1
-        node._epoch_cell = self._epoch_cell
         self.members[node.member_id] = node
 
     @property
@@ -112,7 +104,6 @@ class MulticastTree:
             )
         if child is parent:
             raise TreeError("cannot attach a node to itself")
-        self._epoch_cell[0] += 1
         child.parent = parent
         parent.children.append(child)
         self._mark_attached(child, parent.layer + 1)
@@ -127,7 +118,6 @@ class MulticastTree:
             raise TreeError("cannot detach the root")
         former_parent = node.parent
         if former_parent is not None:
-            self._epoch_cell[0] += 1
             former_parent.children.remove(node)
             node.parent = None
         if node.attached:
@@ -148,8 +138,6 @@ class MulticastTree:
                 f"pop_children requires a detached node, {node.member_id} is attached"
             )
         children = node.children
-        if children:
-            self._epoch_cell[0] += 1
         node.children = []
         for child in children:
             child.parent = None
@@ -202,7 +190,6 @@ class MulticastTree:
             )
 
         # Relink: child takes parent's slot under the grandparent.
-        self._epoch_cell[0] += 1
         grandparent.children[grandparent.children.index(parent)] = child
         child.parent = grandparent
         child.children = former_siblings + [parent]
@@ -236,9 +223,6 @@ class MulticastTree:
                     candidate.parent = None
                     self._mark_detached(candidate)
                     needs_rejoin.append(candidate)
-            # Overflow relinked nodes after the initial bump; invalidate
-            # anything cached by a position listener in between.
-            self._epoch_cell[0] += 1
         return needs_rejoin
 
     def promote_to_grandparent(self, node: OverlayNode) -> None:
@@ -257,7 +241,6 @@ class MulticastTree:
             raise TreeError(
                 f"member {grandparent.member_id} has no spare out-degree"
             )
-        self._epoch_cell[0] += 1
         parent.children.remove(node)
         node.parent = grandparent
         grandparent.children.append(node)

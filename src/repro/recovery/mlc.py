@@ -30,13 +30,8 @@ from ..errors import RecoveryError
 from ..overlay.node import OverlayNode
 
 
-def naive_root_path_ids(node: OverlayNode) -> List[int]:
-    """Reference implementation: walk the parent chain every call.
-
-    Retained (with :func:`naive_loss_correlation` /
-    :func:`naive_group_loss_correlation`) as the ground truth the property
-    tests check the cached paths against.
-    """
+def root_path_ids(node: OverlayNode) -> List[int]:
+    """Member ids from the root down to ``node`` (inclusive)."""
     path = [node.member_id]
     current = node.parent
     while current is not None:
@@ -46,46 +41,8 @@ def naive_root_path_ids(node: OverlayNode) -> List[int]:
     return path
 
 
-def _root_path(node: OverlayNode) -> tuple:
-    """Root path of ``node`` as a tuple, memoized against the tree epoch.
-
-    The owning tree bumps a shared epoch cell on every structural
-    mutation; a cache entry is valid iff its snapshot matches.  Rebuilds
-    walk up only to the nearest ancestor with a fresh cache and share
-    that ancestor's tuple as a prefix, so a burst of queries between
-    mutations (one MLC group selection scores dozens of members) costs
-    amortised O(new suffix) instead of O(depth) each.
-    """
-    cell = getattr(node, "_epoch_cell", None)
-    if cell is None:
-        # Node not registered with a tree (or a test double): no epoch to
-        # validate against, fall back to the plain walk.
-        return tuple(naive_root_path_ids(node))
-    epoch = cell[0]
-    if node._path_epoch == epoch:
-        return node._path_cache
-    chain = []
-    current = node
-    while current is not None and current._path_epoch != epoch:
-        chain.append(current)
-        current = current.parent
-    path = current._path_cache if current is not None else ()
-    for n in reversed(chain):
-        path = path + (n.member_id,)
-        n._path_cache = path
-        n._path_epoch = epoch
-    return path
-
-
-def root_path_ids(node: OverlayNode) -> List[int]:
-    """Member ids from the root down to ``node`` (inclusive)."""
-    return list(_root_path(node))
-
-
-def naive_loss_correlation(a: OverlayNode, b: OverlayNode) -> int:
-    """Reference w(a, b): scalar prefix scan over freshly walked paths."""
-    path_a = naive_root_path_ids(a)
-    path_b = naive_root_path_ids(b)
+def _shared_edges(path_a: List[int], path_b: List[int]) -> int:
+    """Tree edges on the common prefix of two root paths."""
     shared = 0
     # Paths share a prefix starting at the root; each shared non-root hop
     # is a shared edge.
@@ -96,38 +53,19 @@ def naive_loss_correlation(a: OverlayNode, b: OverlayNode) -> int:
     return max(0, shared - 1)
 
 
-def _shared_edges(path_a: tuple, path_b: tuple) -> int:
-    """Tree edges on the common prefix of two root paths."""
-    shared = 0
-    for ia, ib in zip(path_a, path_b):
-        if ia != ib:
-            break
-        shared += 1
-    return max(0, shared - 1)
-
-
 def loss_correlation(a: OverlayNode, b: OverlayNode) -> int:
     """w(a, b): number of shared tree edges on the two root paths."""
-    return _shared_edges(_root_path(a), _root_path(b))
-
-
-def naive_group_loss_correlation(nodes: Sequence[OverlayNode]) -> int:
-    """Reference pairwise sum: the O(k² · depth) loop the paper implies."""
-    total = 0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            total += naive_loss_correlation(nodes[i], nodes[j])
-    return total
+    return _shared_edges(root_path_ids(a), root_path_ids(b))
 
 
 def group_loss_correlation(nodes: Sequence[OverlayNode]) -> int:
     """Pairwise loss-correlation sum the MLC group minimises.
 
-    Recovery groups are small (the paper uses 1-4 members), so the pair
-    loop over the epoch-cached root paths costs a few microseconds, less
-    than building any array formulation.
+    Recovery groups are small (the paper uses 1-4 members), so walking
+    each member's parent chain once and comparing the paths pair by pair
+    costs a few microseconds.
     """
-    paths = [_root_path(n) for n in nodes]
+    paths = [root_path_ids(n) for n in nodes]
     total = 0
     for i, path_a in enumerate(paths):
         for path_b in paths[i + 1 :]:

@@ -15,9 +15,7 @@ from .runstore import (
     ENV_STORE_RESUME,
     RunStore,
     active_store,
-    apply_store_env,
     resume_enabled,
-    store_env,
 )
 
 __all__ = [
@@ -31,10 +29,8 @@ __all__ = [
     "StoreError",
     "StoreSchemaError",
     "active_store",
-    "apply_store_env",
     "canonical_json",
     "content_digest",
     "resume_enabled",
-    "store_env",
     "unit_key",
 ]

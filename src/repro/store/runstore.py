@@ -8,14 +8,16 @@ A store is a directory::
     <root>/.lock           # advisory lock shared by all writers
 
 Activation travels through the environment, the same channel the obs
-flags and ``--check-invariants`` use, because it must reach pool worker
-processes under both ``fork`` and ``spawn``:
+flags and ``--check-invariants`` use: pool workers inherit it whether
+they are forked or spawned.
 
-* ``REPRO_STORE_DIR`` — record every completed unit into this store at
-  the :func:`repro.experiments.pool.execute_job` chokepoint;
-* ``REPRO_STORE_RESUME`` — additionally *replay* units the ledger
-  already has (skip execution, reconstruct the result — including its
-  captured obs artifacts — from the stored payload).
+* ``REPRO_STORE_DIR`` — record every completed job into this store at
+  the :func:`repro.experiments.pool.execute_job` chokepoint, and every
+  simulated unit in :func:`repro.experiments.units.run_unit`, the path
+  every unit takes at any ``--jobs``;
+* ``REPRO_STORE_RESUME`` — additionally *replay* jobs and units the
+  ledger already has (skip execution, reconstruct the result — including
+  its captured obs artifacts — from the stored payload).
 
 Replay is what makes ``--resume`` byte-exact: a completed unit's table
 string, data dict and artifact lists come back from the store in the
@@ -37,8 +39,6 @@ from .locks import FileLock
 
 ENV_STORE_DIR = "REPRO_STORE_DIR"
 ENV_STORE_RESUME = "REPRO_STORE_RESUME"
-
-_ENV_VARS = (ENV_STORE_DIR, ENV_STORE_RESUME)
 
 
 class RunStore:
@@ -265,17 +265,3 @@ def active_store() -> Optional[RunStore]:
 
 def resume_enabled() -> bool:
     return os.environ.get(ENV_STORE_RESUME, "") not in ("", "0")
-
-
-def store_env() -> Dict[str, str]:
-    """The currently-set store env vars, for explicit worker-init export."""
-    return {
-        name: os.environ[name] for name in _ENV_VARS if name in os.environ
-    }
-
-
-def apply_store_env(env: Dict[str, str]) -> None:
-    """Install exported store settings in a worker process (spawn-safe)."""
-    for name in _ENV_VARS:
-        os.environ.pop(name, None)
-    os.environ.update(env)

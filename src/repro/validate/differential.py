@@ -1,9 +1,10 @@
 """Differential oracles: pairs of implementations that must agree.
 
 The repo deliberately retains slower reference implementations next to
-every optimized path (naive MLC kernels beside the cached ones, the
-per-packet episode simulator beside the closed-form pricing, the serial
-runner beside the process pool, plain runs beside store-replayed ones).
+every optimized path (the path-by-path MLC view builder beside the
+one-pass one, the per-packet episode simulator beside the closed-form
+pricing, the serial runner beside the process pool, plain runs beside
+store-replayed ones).
 Each oracle here replays *identical seeds and schedules* through one
 such A/B pair and diffs the outputs with the NaN-aware numeric walk
 borrowed from ``repro.store`` diff — any disagreement is a bug in one
@@ -13,9 +14,8 @@ Oracles (see :data:`ORACLES`):
 
 ``mlc_kernels``
     Drives a fault-schedule-perturbed churn run, then compares the
-    epoch-cached root-path and loss-correlation kernels, and the one-pass
-    partial-view builder, against their naive references over the
-    surviving tree.
+    one-pass partial-view builder against the path-by-path reference
+    over the surviving tree.
 ``join_selection``
     The join selectors, which skip candidates that cannot win before
     reading their capacity, vs full-scan references; ROST's batched
@@ -126,31 +126,20 @@ def _random_fault_schedule(seed: int):
 def run_mlc_kernel_differential(
     seed: int = 0, schedule=None
 ) -> OracleOutcome:
-    """Cached MLC kernels vs naive references, post-faults.
+    """One-pass partial-view builder vs the path-by-path reference,
+    post-faults.
 
     Runs a small churn simulation under ``schedule`` (a seed-derived
     random one by default) so crashes, outages and the resulting repairs
-    have churned the tree — the epoch-based path caches have been
-    invalidated and rebuilt many times — then compares, over every
-    attached member: the cached root path, all pairwise loss
-    correlations, and the group sum on random subsets, against the
-    walk-the-parent-chain ground truth.  Then it builds partial views
-    from random known subsets, each excluding a random member's subtree,
-    with :meth:`PartialTreeView.from_members` and with the path-by-path
-    reference, and compares member order and every child list.
+    have churned the tree, then builds partial views from random known
+    subsets of the surviving attached members, each excluding a random
+    member's subtree, with :meth:`PartialTreeView.from_members` and with
+    :func:`naive_view_from_members`, and compares member order and every
+    child list.
     """
     from ..faults import FaultInjector
     from ..protocols import PROTOCOLS
-    from ..recovery.mlc import (
-        PartialTreeView,
-        group_loss_correlation,
-        loss_correlation,
-        naive_group_loss_correlation,
-        naive_loss_correlation,
-        naive_root_path_ids,
-        naive_view_from_members,
-        root_path_ids,
-    )
+    from ..recovery.mlc import PartialTreeView, naive_view_from_members
     from ..simulation.churn import ChurnSimulation
 
     cfg = _tiny_config(seed + 100)
@@ -163,44 +152,7 @@ def run_mlc_kernel_differential(
     nodes = [node for node in sim.tree.members.values() if node.attached]
     differences: List[Dict[str, str]] = []
     comparisons = 0
-    for node in nodes:
-        comparisons += 1
-        fast = root_path_ids(node)
-        slow = naive_root_path_ids(node)
-        if fast != slow:
-            differences.append(
-                {
-                    "path": f"root_path[{node.member_id}]",
-                    "detail": f"cached {fast} != naive {slow}",
-                }
-            )
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            comparisons += 1
-            fast = loss_correlation(a, b)
-            slow = naive_loss_correlation(a, b)
-            if fast != slow:
-                differences.append(
-                    {
-                        "path": f"loss_correlation[{a.member_id},{b.member_id}]",
-                        "detail": f"{fast} != naive {slow}",
-                    }
-                )
     rng = np.random.default_rng(seed)
-    for trial in range(8):
-        size = int(rng.integers(2, max(3, len(nodes))))
-        subset = [nodes[int(i)] for i in rng.choice(len(nodes), size=size)]
-        comparisons += 1
-        fast = group_loss_correlation(subset)
-        slow = naive_group_loss_correlation(subset)
-        if fast != slow:
-            differences.append(
-                {
-                    "path": f"group_loss_correlation[trial {trial}]",
-                    "detail": f"{fast} != naive {slow} "
-                    f"(members {[n.member_id for n in subset]})",
-                }
-            )
     for trial in range(16):
         size = int(rng.integers(1, len(nodes) + 1))
         known = [

@@ -280,6 +280,41 @@ def test_degraded_oracle_scopes_and_stacks():
     assert oracle.delay_ms(u, v) == base_uv
 
 
+def test_degraded_batch_delays_equal_scalar_bit_for_bit():
+    """Under a domain window stacked with a global one, ``delays_from``
+    returns exactly the doubles ``delay_ms`` gives target by target."""
+    cfg = small_sim_config()
+    workload = build_workload(
+        cfg, make_sessions(1, arrival=0.0, lifetime=100.0, bandwidth=2.0), 200.0
+    )
+    sim = ChurnSimulation(cfg, PROTOCOLS["min-depth"], workload=workload)
+    topology = sim.topology
+    proxy = DegradedOracle(sim.oracle, topology)
+    stubs = [int(s) for s in topology.stub_nodes]
+    inside = stubs[0]
+    domain = int(topology.node_domain[inside])
+    outside = next(s for s in stubs if int(topology.node_domain[s]) != domain)
+    targets = stubs + [inside, outside] + list(range(3))
+
+    proxy.activate({domain}, 1.1)
+    proxy.activate(None, 3.7)
+    for source in (inside, outside):
+        batch = proxy.delays_from(source, targets)
+        assert batch.dtype == np.float64
+        scalar = [proxy.delay_ms(source, t) for t in targets]
+        assert batch.tolist() == scalar
+        assert batch.tobytes() == np.array(scalar, dtype=np.float64).tobytes()
+    # Paths into the domain pay both factors, other paths the global one.
+    other = next(
+        s for s in stubs if int(topology.node_domain[s]) != domain and s != outside
+    )
+    oracle = sim.oracle
+    assert proxy.delay_ms(outside, inside) == oracle.delay_ms(outside, inside) * (
+        1.1 * 3.7
+    )
+    assert proxy.delay_ms(outside, other) == oracle.delay_ms(outside, other) * 3.7
+
+
 def test_injection_is_deterministic():
     def run_once():
         members = make_sessions(40, arrival=0.0, lifetime=4000.0, bandwidth=2.0)

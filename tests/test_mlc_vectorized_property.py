@@ -1,17 +1,10 @@
-"""Property tests: epoch-cached MLC kernels == the naive reference.
+"""Property tests: the one-pass MLC view builder == the naive reference.
 
-``recovery/mlc.py`` keeps walk-the-parent-chain implementations
-(``naive_root_path_ids`` / ``naive_loss_correlation`` /
-``naive_group_loss_correlation``) as executable ground truth for the
-kernels that read epoch-cached root paths: ``root_path_ids``,
-``loss_correlation`` and ``group_loss_correlation`` (the pairwise sum of
-shared prefixes over the cached paths).  Hypothesis drives random tree
-histories — attaches, detaches, rejoins and parent-child swaps,
-interleaved with queries so the epoch-based path caches are exercised
-both warm and invalidated — and every query must match the naive walk
-exactly.  The one-pass ``PartialTreeView.from_members`` must build the
-same view as ``naive_view_from_members``, so that ``select_mlc_group``
-and ``select_random_group`` make the same RNG draws on both.
+Hypothesis drives random tree histories — attaches, detaches, rejoins
+and parent-child swaps.  Over the resulting tree, the one-pass
+``PartialTreeView.from_members`` must build the same view as
+``naive_view_from_members``, so that ``select_mlc_group`` and
+``select_random_group`` make the same RNG draws on both.
 """
 
 from __future__ import annotations
@@ -27,13 +20,7 @@ from repro.overlay.node import OverlayNode
 from repro.overlay.tree import MulticastTree
 from repro.recovery.mlc import (
     PartialTreeView,
-    group_loss_correlation,
-    loss_correlation,
-    naive_group_loss_correlation,
-    naive_loss_correlation,
-    naive_root_path_ids,
     naive_view_from_members,
-    root_path_ids,
     select_mlc_group,
     select_random_group,
 )
@@ -98,41 +85,6 @@ def _build_history(steps):
                 node = swappable[param % len(swappable)]
                 tree.swap_with_parent(node, overflow_priority=lambda c: c.member_id)
     return tree
-
-
-@settings(max_examples=60, deadline=None)
-@given(steps=STEPS)
-def test_root_paths_match_naive_across_mutations(steps):
-    tree = _build_history(steps)
-    for node in tree.members.values():
-        assert root_path_ids(node) == naive_root_path_ids(node)
-    # query again (fully warm caches) — still exact
-    for node in tree.members.values():
-        assert root_path_ids(node) == naive_root_path_ids(node)
-
-
-@settings(max_examples=60, deadline=None)
-@given(steps=STEPS, pair_seed=st.integers(0, 2**32 - 1))
-def test_loss_correlation_matches_naive(steps, pair_seed):
-    tree = _build_history(steps)
-    nodes = list(tree.members.values())
-    rng = np.random.default_rng(pair_seed)
-    for _ in range(20):
-        a = nodes[int(rng.integers(0, len(nodes)))]
-        b = nodes[int(rng.integers(0, len(nodes)))]
-        assert loss_correlation(a, b) == naive_loss_correlation(a, b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(steps=STEPS, group_seed=st.integers(0, 2**32 - 1))
-def test_group_loss_correlation_matches_naive(steps, group_seed):
-    tree = _build_history(steps)
-    nodes = list(tree.members.values())
-    rng = np.random.default_rng(group_seed)
-    k = int(rng.integers(0, min(12, len(nodes)))) + 1
-    picks = rng.choice(len(nodes), size=k, replace=False)
-    group = [nodes[int(i)] for i in picks]
-    assert group_loss_correlation(group) == naive_group_loss_correlation(group)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,75 +1,91 @@
-"""Metrics registry, null instruments, and cross-unit aggregation."""
+"""Per-run metrics snapshots and cross-unit aggregation."""
 
-import pytest
+import json
+from types import SimpleNamespace
 
-from repro.obs.metrics import (
-    NULL_INSTRUMENT,
-    SUBSYSTEMS,
-    MetricsRegistry,
-    aggregate_units,
-    render_metrics_section,
-)
+from repro.obs.attach import ObsAttachment
+from repro.obs.metrics import aggregate_units, render_metrics_section
+from repro.protocols import PROTOCOLS
+from repro.simulation.churn import ChurnSimulation
+
+from .conftest import small_sim_config
+
+
+def _rost_attachment():
+    """A metrics-only attachment on a small ROST churn simulation."""
+    sim = ChurnSimulation(small_sim_config(), PROTOCOLS["rost"])
+    attachment = ObsAttachment(trace=False, metrics=True, profile=False)
+    return sim, attachment.attach(sim)
 
 
 def test_counter_gauge_histogram_roundtrip():
-    registry = MetricsRegistry()
-    events = registry.counter("sim", "events_processed")
-    events.inc()
-    events.inc(41)
-    attached = registry.gauge("overlay", "final_attached")
-    attached.set(37)
-    attached.set(39)
-    subtree = registry.histogram("overlay", "disruption_subtree_size")
-    subtree.observe(1)
-    subtree.observe(5)
-    subtree.observe(2)
+    sim, attachment = _rost_attachment()
+    for _ in range(42):
+        attachment.on_event_post(None)
+    for subtree_size in (1, 5, 2):
+        attachment.on_disruption(
+            SimpleNamespace(in_window=True, subtree_size=subtree_size)
+        )
 
-    snap = registry.snapshot()
-    assert snap["counters"] == {"sim.events_processed": 42}
-    assert snap["gauges"] == {"overlay.final_attached": 39}
+    snap = attachment.finalize().metrics
+    counters = snap["counters"]
+    assert counters["sim.events_processed"] == 42
+    assert counters["overlay.disruption_failures"] == 3
+    assert counters["overlay.disruption_events"] == 0 + 4 + 1
+    assert snap["gauges"]["overlay.final_attached"] == float(sim.tree.num_attached)
     hist = snap["histograms"]["overlay.disruption_subtree_size"]
     assert hist == {"count": 3, "total": 8, "min": 1, "max": 5}
+    assert all(type(value) is int for value in counters.values())
+    assert all(type(value) is float for value in snap["gauges"].values())
+    assert json.loads(json.dumps(snap)) == snap
 
 
 def test_snapshot_keys_are_sorted():
-    registry = MetricsRegistry()
-    registry.counter("sim", "zulu").inc()
-    registry.counter("faults", "alpha").inc()
-    registry.counter("overlay", "mike").inc()
-    assert list(registry.snapshot()["counters"]) == [
-        "faults.alpha",
-        "overlay.mike",
-        "sim.zulu",
+    sim, attachment = _rost_attachment()
+    sim.run()
+    # Two recovery schemes, tallied out of name order.
+    observer = SimpleNamespace(
+        results={
+            name: SimpleNamespace(repaired_packets_total=0)
+            for name in ("mlc-3", "cer-1")
+        }
+    )
+    for name in ("mlc-3", "cer-1"):
+        scheme = SimpleNamespace(name=name)
+        attachment.on_episode_pre(observer, scheme)
+        attachment.on_episode_post(observer, scheme, 0.0, [1], [], 150, None)
+
+    snap = attachment.finalize().metrics
+    assert list(snap["counters"]) == [
+        "faults.activations",
+        "overlay.control_messages",
+        "overlay.disruption_events",
+        "overlay.disruption_failures",
+        "overlay.failure_reconnections",
+        "overlay.optimization_reconnections",
+        "overlay.tree_promotions",
+        "overlay.tree_switch_ops",
+        "recovery.episodes.cer-1",
+        "recovery.episodes.mlc-3",
+        "recovery.gap_packets.cer-1",
+        "recovery.gap_packets.mlc-3",
+        "recovery.repaired_packets.cer-1",
+        "recovery.repaired_packets.mlc-3",
+        "rost.lock_failures",
+        "rost.promotions",
+        "rost.switches",
+        "sim.events_processed",
     ]
-
-
-def test_same_name_returns_same_instrument():
-    registry = MetricsRegistry()
-    a = registry.counter("sim", "events_processed")
-    b = registry.counter("sim", "events_processed")
-    a.inc()
-    b.inc()
-    assert registry.snapshot()["counters"]["sim.events_processed"] == 2
-
-
-def test_unknown_subsystem_rejected():
-    registry = MetricsRegistry()
-    with pytest.raises(ValueError, match="subsystem"):
-        registry.counter("kitchen", "sinks")
-    assert "experiments" in SUBSYSTEMS  # pool/runner metrics have a home
-
-
-def test_null_instrument_is_inert():
-    NULL_INSTRUMENT.inc()
-    NULL_INSTRUMENT.inc(10)
-    NULL_INSTRUMENT.set(99)
-    NULL_INSTRUMENT.observe(3.5)
-    assert NULL_INSTRUMENT.value == 0
+    assert list(snap["gauges"]) == [
+        "overlay.final_attached",
+        "sim.pending_events_final",
+    ]
+    assert list(snap["histograms"]) == ["overlay.disruption_subtree_size"]
 
 
 def _unit(counters=None, histograms=None):
     # Shape of one entry in an ``artifacts["metrics"]`` list: the unit's
-    # meta merged with its registry snapshot.
+    # meta merged with its metrics snapshot.
     return {
         "meta": {"kind": "churn"},
         "counters": counters or {},

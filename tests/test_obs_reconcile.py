@@ -1,6 +1,6 @@
-"""The metrics registry must reconcile *exactly* with the legacy
-collectors in :mod:`repro.metrics` — same runs, two independent counting
-paths (the registry hooks observers; the collectors live inside the
+"""The metrics snapshot must reconcile *exactly* with the collectors in
+:mod:`repro.metrics` — same runs, two independent counting paths (the
+obs attachment listens on the simulator; the collectors live inside the
 simulation), so any drift is a real accounting bug in one of them.
 """
 

@@ -1,4 +1,4 @@
-"""Golden-trace determinism and TraceWriter behaviour.
+"""Golden-trace determinism and trace file publication.
 
 Three checked-in goldens pin the trace byte format:
 
@@ -22,12 +22,13 @@ import json
 import os
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments import runner
 from repro.obs.attach import ObsAttachment
 from repro.obs.schema import RECORD_TYPES, validate_trace_lines
-from repro.obs.trace import TraceWriter
 from repro.protocols import PROTOCOLS
 from repro.sim.engine import Simulator
 from repro.simulation.churn import ChurnSimulation
@@ -199,53 +200,59 @@ def test_engine_trace_skips_cancelled_events_and_counts_faults():
     assert unit.metrics["counters"]["sim.events_processed"] == 4
 
 
-# -- TraceWriter file mode -------------------------------------------------------------
+# -- trace file publication -------------------------------------------------------------
 
 
-def test_file_writer_publishes_atomically(tmp_path):
+def _publish_trace(path, lines):
+    """Write ``lines`` the way the runner publishes a merged ``--trace``."""
+    collector = runner._ArtifactCollector()
+    collector.trace_lines = list(lines)
+    collector.emit_sections(SimpleNamespace(trace=str(path)), None, {})
+
+
+def test_file_writer_publishes_atomically(tmp_path, monkeypatch):
     path = tmp_path / "run.trace.jsonl"
-    writer = TraceWriter(str(path), buffer_records=2)
-    writer.emit({"type": "fault", "t": 1.0, "label": "fault:a"})
-    writer.emit({"type": "fault", "t": 2.0, "label": "fault:b"})
-    writer.emit({"type": "fault", "t": 3.0, "label": "fault:c"})
-    # Nothing at the final path until close(), even though the buffer
-    # (2 records) has already spilled to the temp file.
-    assert not path.exists()
-    assert list(tmp_path.glob("*.tmp-*"))
-    writer.close()
-    assert path.exists()
-    assert not list(tmp_path.glob("*.tmp-*"))
-    lines = path.read_text().splitlines()
-    assert validate_trace_lines(lines) == 3
-    writer.close()  # idempotent
+    path.write_text("previous\n")
+    lines = [
+        json.dumps({"type": "fault", "t": t, "label": f"fault:{t}"},
+                   separators=(",", ":"))
+        for t in (1.0, 2.0, 3.0)
+    ]
+    synced, published = [], []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    def replace(src, dst):
+        # The complete, fsynced temp file sits next to the target, which
+        # still holds its previous content until the rename.
+        assert synced
+        assert os.path.dirname(src) == str(tmp_path)
+        assert Path(src).read_text() == "".join(line + "\n" for line in lines)
+        assert path.read_text() == "previous\n"
+        published.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    _publish_trace(path, lines)
+    assert published == [str(path)]
+    assert path.read_text().splitlines() == lines
+    assert validate_trace_lines(path.read_text().splitlines()) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["run.trace.jsonl"]
 
 
-def test_file_writer_abort_leaves_nothing(tmp_path):
+def test_file_writer_abort_leaves_nothing(tmp_path, monkeypatch):
+    """A write that fails before the rename publishes nothing and leaves
+    no temp file behind."""
     path = tmp_path / "run.trace.jsonl"
-    writer = TraceWriter(str(path))
-    writer.emit({"type": "fault", "t": 1.0, "label": "fault:a"})
-    writer.abort()
-    assert not path.exists()
-    assert not list(tmp_path.glob("*.tmp-*"))
 
+    def fail(fd):
+        raise OSError("disk full")
 
-def test_file_writer_context_manager_aborts_on_error(tmp_path):
-    path = tmp_path / "run.trace.jsonl"
-    with pytest.raises(RuntimeError):
-        with TraceWriter(str(path)) as writer:
-            writer.emit({"type": "fault", "t": 1.0, "label": "fault:a"})
-            raise RuntimeError("boom")
-    assert not path.exists()
-
-
-def test_memory_writer_guards():
-    writer = TraceWriter()
-    writer.emit({"type": "fault", "t": 1.0, "label": "fault:a"})
-    assert writer.records_emitted == 1
-    writer.close()
-    with pytest.raises(ValueError):
-        writer.emit({"type": "fault", "t": 2.0, "label": "fault:b"})
-    with pytest.raises(ValueError):
-        TraceWriter(buffer_records=0)
-    with pytest.raises(ValueError):
-        TraceWriter("/tmp/x.jsonl").lines  # noqa: B018 - file mode has no lines
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        _publish_trace(path, ['{"type":"fault","t":1.0,"label":"fault:a"}'])
+    assert list(tmp_path.iterdir()) == []

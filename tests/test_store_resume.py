@@ -177,6 +177,46 @@ def test_full_store_resume_replays_everything(seeded_campaign, tmp_path):
     assert run["units_replayed"] == run["units_total"] == 2
 
 
+def _fig05_args(store_root: Path, jobs: int, *extra: str) -> list:
+    return [
+        "run", "fig05", "--scale", "0.02", "--seed", "3",
+        "--jobs", str(jobs), "--store", str(store_root), *extra,
+    ]
+
+
+def test_serial_run_checkpoints_units_like_a_parallel_run(tmp_path):
+    """``--jobs 1`` records the same simulation units as ``--jobs 2``, so
+    a serial run killed mid-figure resumes at unit granularity too."""
+    sim_keys = {}
+    for jobs in (1, 2):
+        store_root = tmp_path / f"jobs{jobs}.runstore"
+        common.clear_caches()
+        assert main(_fig05_args(store_root, jobs)) == 0
+        rows = RunStore(str(store_root)).ledger.units()
+        assert sorted(row["experiment_id"] for row in rows) == [
+            "fig05", *["sim:churn"] * 5
+        ]
+        sim_keys[jobs] = {
+            row["unit_key"] for row in rows if row["experiment_id"] == "sim:churn"
+        }
+    assert sim_keys[1] == sim_keys[2]
+
+    # A crash after four of the five units: the figure row and one unit
+    # row are missing, and the serial resume simulates that unit only.
+    store_root = tmp_path / "jobs1.runstore"
+    store = RunStore(str(store_root))
+    victim = sorted(sim_keys[1])[0]
+    for row in store.ledger.units("fig05"):
+        store.ledger.forget_unit(row["unit_key"])
+    store.ledger.forget_unit(victim)
+    common.clear_caches()
+    assert main(_fig05_args(store_root, 1, "--resume")) == 0
+    rows = store.ledger.units("sim:churn")
+    assert {row["unit_key"] for row in rows} == sim_keys[1]
+    assert all(row["executions"] == 1 for row in rows)
+    assert [row["unit_key"] for row in rows if row["hits"] == 0] == [victim]
+
+
 def test_resume_without_store_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
     with pytest.raises(SystemExit) as excinfo:

@@ -168,20 +168,6 @@ def test_stripe_timing_skew_caught_by_episode_oracle(monkeypatch):
     _assert_structured_failure(outcome.to_payload())
 
 
-def test_group_correlation_off_by_one_caught_by_kernel_oracle(monkeypatch):
-    """Bug: the cached group-correlation kernel over-counts by one."""
-    from repro.recovery import mlc
-
-    original = mlc.group_loss_correlation
-    monkeypatch.setattr(
-        mlc, "group_loss_correlation", lambda nodes: original(nodes) + 1
-    )
-    outcome = run_oracle("mlc_kernels", seed=0)
-    assert not outcome.equal
-    assert any("group_loss_correlation" in d["path"] for d in outcome.differences)
-    _assert_structured_failure(outcome.to_payload())
-
-
 def test_view_builder_ignoring_exclude_caught_by_kernel_oracle(monkeypatch):
     """Bug: the one-pass view builder keeps excluded subtrees in the view."""
     from repro.recovery import mlc
