@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.config import ProtocolConfig, TopologyConfig
+from repro.invariants import check_tree
 from repro.overlay.membership import MembershipService
 from repro.overlay.node import OverlayNode
 from repro.overlay.tree import MulticastTree
@@ -123,7 +124,7 @@ def test_tree_attach_detach_cycle(benchmark):
             tree.attach(victim, parent)
 
     benchmark(churn_cycle)
-    tree.check_invariants()
+    check_tree(tree)
 
 
 def _protocol_context(topo, oracle, root_cap):

@@ -245,11 +245,9 @@ def main(argv=None) -> int:
     }
     if sweep:
         report["sweep"] = sweep
-    tmp_path = args.out + ".tmp"
-    with open(tmp_path, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    os.replace(tmp_path, args.out)
+    from repro.fileio import publish
+
+    publish(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     print(f"wrote {args.out}")
     return 0
 

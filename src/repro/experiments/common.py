@@ -11,7 +11,6 @@ workload over a shared underlay, mirroring the paper's methodology.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -133,12 +132,6 @@ def shared_workload(
         )
         _workload_cache[key] = workload
     return workload
-
-
-def _invariants_enabled() -> bool:
-    """The CLI's ``--check-invariants`` travels via the environment (it
-    must reach pool workers and in-process unit runs alike)."""
-    return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
 
 
 def protocol_factory(name: str, **kwargs) -> Callable:

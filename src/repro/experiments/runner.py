@@ -11,8 +11,8 @@ Examples::
 worker processes (default: one per CPU); results are merged in
 deterministic order, so the emitted tables are byte-identical to a
 ``--jobs 1`` run.  Output files (``--out``, ``--json``, ``--trace``) are
-written atomically — a crashed or killed run never leaves a truncated
-file.
+written atomically through :func:`repro.fileio.publish` — a crashed or
+killed run never leaves a truncated file.
 
 ``--store DIR`` additionally checkpoints every completed unit into a
 durable run store (``docs/store.md``), and ``--resume`` replays the
@@ -27,12 +27,12 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from ..faults.campaign import CampaignSpec, run_campaign
+from ..fileio import publish
 from ..multitree.campaign import MultiTreeCampaignSpec
 from .pool import ExperimentJob, resolve_jobs, run_jobs
 from .registry import get_experiment, list_experiments
@@ -227,29 +227,6 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _atomic_write(path: str, content: str) -> None:
-    """Publish ``content`` at ``path``: the writer of ``--out``, ``--json``
-    and ``--trace``.
-
-    The text goes to a temp file in the target directory, which is
-    fsynced and renamed over ``path``.  Readers see either the previous
-    complete file or the new one, never a truncated file, even if the
-    process dies mid-write, and a failed write leaves no temp file.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".repro-out-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-
-
 class _Emitter:
     """Prints to stdout and mirrors the text into ``out_path`` atomically.
 
@@ -273,7 +250,7 @@ class _Emitter:
         self.session_content += text + "\n"
         if self._path:
             self._content += text + "\n"
-            _atomic_write(self._path, self._content)
+            publish(self._path, self._content.encode("utf-8"))
 
 
 def _iter_results(batch: List[ExperimentJob], jobs: int, timeout_s):
@@ -313,9 +290,8 @@ class _ArtifactCollector:
         never into --json or the trace.
         """
         if getattr(args, "trace", None):
-            _atomic_write(
-                args.trace, "".join(line + "\n" for line in self.trace_lines)
-            )
+            text = "".join(line + "\n" for line in self.trace_lines)
+            publish(args.trace, text.encode("utf-8"))
             # stderr, like the [store] line: a traced run's --out must
             # equal an untraced run's byte for byte.
             print(
@@ -422,7 +398,8 @@ def _finish_run(
     collector.emit_sections(args, emitter, json_data)
     validated = _run_validation(args, emitter, json_data)
     if args.json:
-        _atomic_write(args.json, json.dumps(json_data, indent=2, default=str))
+        text = json.dumps(json_data, indent=2, default=str)
+        publish(args.json, text.encode("utf-8"))
     recorder.finish(
         name=name,
         command=f"repro.experiments {args.command}",
@@ -523,6 +500,7 @@ def _exported_flags(args) -> Iterator[None]:
     channel that survives both start methods.  Restoring keeps repeated
     in-process invocations (tests) independent.
     """
+    from ..invariants import ENV_CHECK_INVARIANTS
     from ..obs.capture import ENV_METRICS, ENV_PROFILE, ENV_TRACE, ENV_TRACE_EVENTS
     from ..store.runstore import ENV_STORE_DIR, ENV_STORE_RESUME
 
@@ -533,7 +511,7 @@ def _exported_flags(args) -> Iterator[None]:
         ENV_PROFILE: getattr(args, "profile", False),
         ENV_STORE_RESUME: getattr(args, "resume", False),
         # Campaigns hand --check-invariants to run_campaign instead.
-        "REPRO_CHECK_INVARIANTS": getattr(args, "check_invariants", False)
+        ENV_CHECK_INVARIANTS: getattr(args, "check_invariants", False)
         and args.command in ("run", "all"),
     }
     exported = {name: "1" for name, on in switches.items() if on}

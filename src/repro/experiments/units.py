@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
+from ..invariants import checking_enabled
 from ..obs.capture import ObsUnit, emit_unit, obs_fingerprint
 from ..recovery.schemes import RecoveryScheme
 from ..simulation.churn import ChurnRunResult, ChurnSimulation
@@ -62,7 +63,7 @@ class _Unit:
         fingerprint, read from the environment at call time (a run
         checked or observed under one setting is never served under
         another)."""
-        return (self, common._invariants_enabled(), obs_fingerprint())
+        return (self, checking_enabled(), obs_fingerprint())
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class ChurnUnit(_Unit):
             "probe": self.probe,
             "switch_interval_s": self.switch_interval_s,
             "rost_flags": [list(pair) for pair in self.rost_flags],
-            "checked": common._invariants_enabled(),
+            "checked": checking_enabled(),
         }
 
     def build(self, checked: bool) -> Tuple[ChurnSimulation, dict]:
@@ -145,7 +146,7 @@ class RecoveryUnit(_Unit):
             "settings": dataclasses.asdict(self.settings),
             "schemes": [dataclasses.asdict(s) for s in self.schemes],
             "replica": self.replica,
-            "checked": common._invariants_enabled(),
+            "checked": checking_enabled(),
         }
 
     def build(self, checked: bool) -> Tuple[RecoverySimulation, dict]:

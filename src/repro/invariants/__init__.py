@@ -17,11 +17,15 @@ or, accumulating for a report (the campaign ``--check-invariants`` path)::
     sim.run()
     checker.violations   # structured InvariantViolation records
 
+A bare tree is checked without a simulation by :func:`check_tree`, which
+runs the registered tree-shape checks and raises on the first violation.
+
 See ``docs/invariants.md`` for the invariant catalogue and how to add
 a new checker.
 """
 
-from .checker import InvariantChecker
+from .checker import ENV_CHECK_INVARIANTS, InvariantChecker, checking_enabled
+from .checks import check_tree
 from .registry import (
     LAYERS,
     REGISTRY,
@@ -40,6 +44,7 @@ from .registry import (
 # repro.invariants.checks); nothing else to do here.
 
 __all__ = [
+    "ENV_CHECK_INVARIANTS",
     "LAYERS",
     "REGISTRY",
     "CheckContext",
@@ -47,6 +52,8 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "all_invariants",
+    "check_tree",
+    "checking_enabled",
     "declare_invariant",
     "get_invariant",
     "invariant",

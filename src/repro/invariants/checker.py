@@ -20,6 +20,7 @@ fault-campaign ``--check-invariants`` mode).
 from __future__ import annotations
 
 import math
+import os
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..errors import InvariantError, SimulationError
@@ -36,6 +37,15 @@ from . import checks as _checks  # noqa: F401
 
 #: Slack for floating-point comparisons on virtual times and BTP values.
 _EPS = 1e-9
+
+#: ``run``/``all --check-invariants`` travels in this variable, so it
+#: reaches pool workers and in-process unit runs alike.
+ENV_CHECK_INVARIANTS = "REPRO_CHECK_INVARIANTS"
+
+
+def checking_enabled() -> bool:
+    """Whether :data:`ENV_CHECK_INVARIANTS` asks for checked runs."""
+    return os.environ.get(ENV_CHECK_INVARIANTS, "") not in ("", "0")
 
 
 class InvariantChecker:

@@ -12,7 +12,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator
 
-from .registry import CheckContext, declare_invariant, invariant
+from ..errors import InvariantError
+from .registry import (
+    REGISTRY,
+    CheckContext,
+    InvariantViolation,
+    declare_invariant,
+    invariant,
+)
 
 #: Event labels that legitimately leave an ever-attached member detached
 #: without a pending recovery rejoin: ROST switch-overflow rejoins and the
@@ -197,6 +204,37 @@ def check_attachment(ctx: CheckContext) -> Iterator[dict]:
                 ),
                 "node_ids": (member_id,),
             }
+
+
+#: The registered checks that read nothing but the tree.
+TREE_SHAPE_CHECKS = (
+    "tree-acyclicity",
+    "tree-single-parent",
+    "tree-degree-cap",
+    "tree-attachment",
+)
+
+
+def check_tree(tree) -> None:
+    """Run :data:`TREE_SHAPE_CHECKS` on a bare tree; raise
+    :class:`~repro.errors.InvariantError` on the first violation.
+
+    ``tree-orphan-recovery`` stays out: it reads the churn driver and the
+    event queue."""
+    ctx = CheckContext(tree=tree)
+    for name in TREE_SHAPE_CHECKS:
+        inv = REGISTRY[name]
+        for found in inv.check(ctx):
+            raise InvariantError(
+                InvariantViolation(
+                    invariant=inv.name,
+                    layer=inv.layer,
+                    time=ctx.now,
+                    message=found["message"],
+                    node_ids=tuple(found.get("node_ids", ())),
+                    snapshot=found.get("snapshot", {}),
+                )
+            )
 
 
 @invariant(

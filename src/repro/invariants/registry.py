@@ -66,13 +66,14 @@ class InvariantViolation:
 
 @dataclass
 class CheckContext:
-    """What a quiescent check sees: the simulation under observation."""
+    """What a quiescent check sees: the simulation under observation
+    (:func:`~repro.invariants.checks.check_tree` passes a bare tree)."""
 
-    checker: "object"
-    sim: "object"
-    tree: "object"
-    churn: "object"
-    now: float
+    checker: "object" = None
+    sim: "object" = None
+    tree: "object" = None
+    churn: "object" = None
+    now: float = 0.0
     #: Per-sweep scratch space so checks can share traversals.
     cache: dict = field(default_factory=dict)
 

@@ -225,14 +225,6 @@ class ChurnMetrics:
         return self.disruption_rate_per_node_second() * self.mean_lifetime_s
 
     @property
-    def avg_disruptions_per_departed(self) -> float:
-        """Mean per-lifetime disruption count over fully-observed members
-        (the direct estimator; agrees with the rate-based one in steady
-        state up to lifetime-truncation effects)."""
-        mean, _ = mean_and_ci(self.disruptions_per_departed)
-        return mean
-
-    @property
     def avg_optimization_reconnections_per_node(self) -> float:
         """Fig. 10's protocol-overhead metric (rate-based, per lifetime)."""
         if self.node_seconds <= 0:

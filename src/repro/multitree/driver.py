@@ -118,13 +118,6 @@ class MultiTreeResult:
     #: The protocol running in each stripe, by label.
     stripe_protocols: Tuple[str, ...] = ()
 
-    @property
-    def avg_tree_delay_ms(self) -> float:
-        mean, _ = mean_and_ci(
-            [getattr(r, "churn", r).avg_service_delay_ms for r in self.per_tree]
-        )
-        return mean
-
 
 class MultiTreeSimulation:
     """Compose K stripe-tree simulations over one workload."""

@@ -26,7 +26,6 @@ from .capture import (
     ENV_TRACE,
     ENV_TRACE_EVENTS,
     ObsUnit,
-    current_capture,
     emit_unit,
     job_capture,
     metrics_enabled,
@@ -68,7 +67,6 @@ __all__ = [
     "TraceSchemaError",
     "TraceWriter",
     "aggregate_units",
-    "current_capture",
     "drain_stages",
     "emit_unit",
     "job_capture",

@@ -138,10 +138,6 @@ class JobCapture:
 _current: Optional[JobCapture] = None
 
 
-def current_capture() -> Optional[JobCapture]:
-    return _current
-
-
 def emit_unit(unit: ObsUnit) -> None:
     """Hand a finalized unit to the ambient capture (no-op without one)."""
     if _current is not None:

@@ -11,7 +11,8 @@ Responsibilities:
 
 Policy — who attaches where, who is evicted, who switches — lives in
 :mod:`repro.protocols`.  Every mutating method is O(size of the moved
-subtree) or better.
+subtree) or better.  :func:`repro.invariants.check_tree` verifies the
+whole structure against the registered tree checks.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class MulticastTree:
             node = queue.popleft()
             yield node
             queue.extend(node.children)
-
-    def total_spare_capacity(self) -> int:
-        """Unused child slots across the attached component."""
-        return sum(n.spare_degree for n in self.attached_nodes())
 
     # -- structural operations ---------------------------------------------------
 
@@ -247,68 +244,6 @@ class MulticastTree:
         self._shift_layers(node, -1)
         self._notify_position(parent)
         self._notify_position(grandparent)
-
-    # -- consistency ------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Raise :class:`TreeError` if any structural invariant is violated.
-
-        Intended for tests and debugging; O(n).
-        """
-        seen = set()
-        queue = deque([self.root])
-        attached_count = 0
-        while queue:
-            node = queue.popleft()
-            if node.member_id in seen:
-                raise TreeError(f"cycle through member {node.member_id}")
-            seen.add(node.member_id)
-            if self.members.get(node.member_id) is not node:
-                raise TreeError(f"member {node.member_id} not registered")
-            if not node.attached:
-                raise TreeError(f"member {node.member_id} reachable but detached")
-            attached_count += 1
-            if len(node.children) > node.out_degree_cap:
-                raise TreeError(
-                    f"member {node.member_id} exceeds out-degree cap: "
-                    f"{len(node.children)} > {node.out_degree_cap}"
-                )
-            for chd in node.children:
-                if chd.parent is not node:
-                    raise TreeError(
-                        f"broken backlink: {chd.member_id} -> {node.member_id}"
-                    )
-                if chd.layer != node.layer + 1:
-                    raise TreeError(
-                        f"layer mismatch: {chd.member_id} has layer {chd.layer}, "
-                        f"parent layer {node.layer}"
-                    )
-                queue.append(chd)
-        if attached_count != self._attached_count:
-            raise TreeError(
-                f"attached-count drift: counter {self._attached_count}, "
-                f"actual {attached_count}"
-            )
-        for member_id, node in self.members.items():
-            if node.attached and member_id not in seen:
-                raise TreeError(f"member {member_id} attached but unreachable")
-            if not node.attached:
-                if node.layer != -1:
-                    raise TreeError(
-                        f"detached member {member_id} has layer {node.layer}"
-                    )
-                top = node
-                hops = 0
-                while top.parent is not None:
-                    top = top.parent
-                    hops += 1
-                    if hops > len(self.members):
-                        raise TreeError(f"cycle above detached member {member_id}")
-                if top.attached:
-                    raise TreeError(
-                        f"detached member {member_id} hangs under attached "
-                        f"member {top.member_id}"
-                    )
 
     # -- internals ----------------------------------------------------------------
 

@@ -167,8 +167,8 @@ class TreeProtocol(abc.ABC):
         nothing; first-occurrence tie-breaking matches the original
         strict-less scan.  A candidate deeper than the best layer so far
         can neither win nor tie, so it is skipped before its capacity is
-        read; :func:`naive_select_min_depth` is the full scan this must
-        agree with.
+        read; :func:`naive_select_min` ranked by ``"layer"`` is the full scan
+        this must agree with.
         """
         tied: List[OverlayNode] = []
         best_layer = math.inf
@@ -198,21 +198,25 @@ class TreeProtocol(abc.ABC):
         self.ctx.messages.record(MessageType.ACCEPT)
 
 
-def naive_select_min_depth(
-    oracle: DelayOracle, node: OverlayNode, candidates: Iterable[OverlayNode]
+def naive_select_min(
+    oracle: DelayOracle,
+    node: OverlayNode,
+    candidates: Iterable[OverlayNode],
+    rank: str,
 ) -> Optional[OverlayNode]:
-    """Reference for :meth:`TreeProtocol.select_min_depth`: the scan that
-    reads every candidate's capacity before comparing layers."""
+    """Reference for the join selectors (``rank`` is ``"layer"`` or
+    ``"join_time"``): the scan that reads every candidate's capacity
+    before comparing ranks."""
     tied: List[OverlayNode] = []
-    best_layer = None
+    best = None
     for candidate in candidates:
         if candidate.spare_degree <= 0 or not candidate.attached:
             continue
-        layer = candidate.layer
-        if best_layer is None or layer < best_layer:
-            best_layer = layer
+        value = getattr(candidate, rank)
+        if best is None or value < best:
+            best = value
             tied = [candidate]
-        elif layer == best_layer:
+        elif value == best:
             tied.append(candidate)
     if not tied:
         return None

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from ..overlay.node import OverlayNode
 from .base import TreeProtocol
 
@@ -40,7 +38,8 @@ class LongestFirstProtocol(TreeProtocol):
         # select_min_depth: delays are computed (batched) only for the
         # candidates tied on join time, and a candidate younger than the
         # best so far is skipped before its capacity is read.
-        # naive_select_oldest is the full scan this must agree with.
+        # naive_select_min ranked by "join_time" is the full scan this
+        # must agree with.
         tied = []
         best_time = math.inf
         for candidate in candidates:
@@ -62,25 +61,3 @@ class LongestFirstProtocol(TreeProtocol):
             node.underlay_node, [c.underlay_node for c in tied]
         )
         return tied[int(delays.argmin())]
-
-
-def naive_select_oldest(oracle, node, candidates) -> Optional[OverlayNode]:
-    """Reference for :meth:`LongestFirstProtocol._select_oldest`: the scan
-    that reads every candidate's capacity before comparing join times."""
-    tied = []
-    best_time = None
-    for candidate in candidates:
-        if candidate.spare_degree <= 0 or not candidate.attached:
-            continue
-        t = candidate.join_time
-        if best_time is None or t < best_time:
-            best_time = t
-            tied = [candidate]
-        elif t == best_time:
-            tied.append(candidate)
-    if not tied:
-        return None
-    if len(tied) == 1:
-        return tied[0]
-    delays = oracle.delays_from(node.underlay_node, [c.underlay_node for c in tied])
-    return tied[int(np.argmin(delays))]

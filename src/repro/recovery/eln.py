@@ -10,9 +10,12 @@ that keeps receiving ELNs knows its parent is alive.  A member that sees
 a sequence gap larger than a threshold with *neither* data nor ELN
 packets concludes its parent (or the link to it) failed and rejoins.
 
-:class:`ElnTracker` is the per-member decision state machine; it is
-exercised directly by the unit tests and drives the ``eln`` flag handling
-in the recovery simulation.
+:class:`ElnTracker` is the per-member decision state machine, exercised
+by the unit tests only: the recovery simulation models ELN through the
+``RecoveryScheme.eln`` flag (:mod:`repro.simulation.streaming`).  With
+it on, each child of a failed member selects one recovery group and its
+whole subtree is priced against it; with it off (the ablation), every
+affected member selects its own group and is priced on its own.
 """
 
 from __future__ import annotations

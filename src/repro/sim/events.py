@@ -6,13 +6,14 @@ events scheduled for the same instant at the same priority fire in the
 order they were scheduled, which keeps every simulation run exactly
 reproducible for a given seed.
 
-The heap itself stores plain ``(time, priority, seq, event)`` tuples, so
-sift operations compare small tuples of floats/ints in C instead of
-dispatching to rich-comparison methods on :class:`Event` instances; the
-``seq`` component is unique, so the trailing ``event`` element is never
-compared.  :class:`Event` uses ``__slots__`` to keep instances small and
-attribute access off the instance-dict path — together these are the
-kernel's single hottest allocation and comparison site.
+The ordering lives in the heap entries alone: the heap stores plain
+``(time, priority, seq, event)`` tuples, so sift operations compare
+small tuples of floats/ints in C, and the ``seq`` component is unique,
+so the trailing ``event`` element is never compared.  :class:`Event`
+therefore defines no ordering (events compare by identity) and uses
+``__slots__`` to keep instances small and attribute access off the
+instance-dict path — together these are the kernel's single hottest
+allocation and comparison site.
 """
 
 from __future__ import annotations
@@ -57,37 +58,6 @@ class Event:
             f"seq={self.seq!r}, label={self.label!r}, "
             f"cancelled={self.cancelled!r})"
         )
-
-    def _key(self):
-        return (self.time, self.priority, self.seq)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() >= other._key()
-
-    def __hash__(self) -> int:
-        return hash((Event, self.seq))
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when it reaches the queue head.

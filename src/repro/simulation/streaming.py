@@ -93,11 +93,6 @@ class SchemeResult:
         return 100.0 * mean
 
     @property
-    def ci95_pct(self) -> float:
-        _, ci = mean_and_ci(self.ratios)
-        return 100.0 * ci
-
-    @property
     def mean_coverage(self) -> float:
         return self.coverage_sum / self.episodes if self.episodes else float("nan")
 

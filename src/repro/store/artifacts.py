@@ -5,22 +5,22 @@ Layout under the store root::
     objects/<aa>/<digest>      # payload bytes, named by their SHA-256
     quarantine/<digest>.<pid>  # corrupted payloads, moved aside on read
 
-Writes are atomic (temp file in the destination directory + ``fsync`` +
-``os.replace``), so a ``kill -9`` mid-publication leaves at worst an
-orphaned temp file — never a live object with torn bytes.  Reads hash
-the payload and compare against the name: a mismatch (bit rot, torn
-copy, truncation by an external tool) moves the object into
-``quarantine/`` and reports a miss, so the caller re-executes the unit
-instead of trusting bad bytes.
+Writes are atomic (:func:`repro.fileio.publish`: temp file in the
+destination directory + ``fsync`` + ``os.replace``), so a ``kill -9``
+mid-publication leaves at worst an orphaned temp file — never a live
+object with torn bytes.  Reads hash the payload and compare against the
+name: a mismatch (bit rot, torn copy, truncation by an external tool)
+moves the object into ``quarantine/`` and reports a miss, so the caller
+re-executes the unit instead of trusting bad bytes.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Iterator, List, Optional
 
 from ..errors import StoreError
+from ..fileio import publish
 from .keys import content_digest
 from .locks import FileLock
 
@@ -54,21 +54,10 @@ class ArtifactStore:
         path = self._path(digest)
         if os.path.exists(path):
             return digest
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         with self._lock:
-            if os.path.exists(path):  # lost the publication race: same bytes
-                return digest
-            fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".put-")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, path)
-            finally:
-                if os.path.exists(tmp_path):
-                    os.remove(tmp_path)
+            # A lost publication race found the same bytes already there.
+            if not os.path.exists(path):
+                publish(path, data)
         return digest
 
     # -- verified reads ----------------------------------------------------------

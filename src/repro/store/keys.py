@@ -4,10 +4,10 @@ Two kinds of digest, both SHA-256 hex:
 
 * **Unit keys** identify one unit of work — the canonical JSON of
   ``(experiment name, scale, seed, sorted kwargs, obs fingerprint,
-  schema version)``.  The kwargs carry everything that shapes a run
-  (campaign spec JSON, scenario, protocol/scheme, feature flags), so two
-  jobs collide exactly when re-running one would reproduce the other's
-  bytes.  The observability fingerprint is part of the key for the same
+  schema version)``, plus the invariant flag when a run is checked.  The
+  kwargs carry everything that shapes a run (campaign spec JSON,
+  scenario, protocol/scheme, feature flags), so two jobs collide exactly
+  when re-running one would reproduce the other's bytes.  The observability fingerprint is part of the key for the same
   reason it keys the in-process run cache: a result captured with
   tracing enabled carries different artifacts than one captured without,
   and replaying across the two would corrupt merged traces.
@@ -49,8 +49,12 @@ def unit_key(
     seed: int,
     kwargs: Iterable[Tuple[str, object]] = (),
     obs_fingerprint: Sequence[bool] = (),
+    checked: bool = False,
 ) -> str:
-    """The ledger key of one (experiment, params, seed, scheme) unit."""
+    """The ledger key of one (experiment, params, seed, scheme) unit.
+
+    ``checked`` enters the key only when set: unchecked keys never move.
+    """
     doc = {
         "schema": STORE_SCHEMA_VERSION,
         "experiment": experiment_id,
@@ -59,4 +63,6 @@ def unit_key(
         "kwargs": {str(k): v for k, v in kwargs},
         "obs": list(obs_fingerprint),
     }
+    if checked:
+        doc["checked"] = True
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()

@@ -61,8 +61,10 @@ class RunStore:
         Takes any object with the :class:`~repro.experiments.pool.
         ExperimentJob` attributes; the obs fingerprint is folded in so
         traced and untraced captures of the same parameters never
-        cross-replay.
+        cross-replay, and the invariant flag so a checked run never
+        replays a row recorded unchecked.
         """
+        from ..invariants import checking_enabled
         from ..obs.capture import obs_fingerprint
 
         return unit_key(
@@ -71,6 +73,7 @@ class RunStore:
             job.seed,
             job.kwargs,
             obs_fingerprint(),
+            checking_enabled(),
         )
 
     # -- record / replay ---------------------------------------------------------

@@ -18,24 +18,26 @@ content-addressed instead:
   pool sets it for its workers, and this is how they share underlays:
   the first worker to need one builds and stores it, the others load it.
 
-Disk writes are atomic (write to a temp file, then ``os.replace``), so a
-killed run can never leave a truncated cache entry; a corrupt or
-unreadable entry is treated as a miss and regenerated.  Loaded artefacts
-are bit-identical to freshly generated ones — the test suite locks this.
+Disk writes are atomic (:func:`repro.fileio.publish`: a fsynced temp
+file, then ``os.replace``), so a killed run can never leave a truncated
+cache entry; a corrupt or unreadable entry is treated as a miss and
+regenerated.  Loaded artefacts are bit-identical to freshly generated
+ones — the test suite locks this.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import os
-import tempfile
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..config import TopologyConfig
+from ..fileio import publish
 from .graph import Graph
 from .routing import DelayOracle
 from .transit_stub import StubDomain, TransitStubTopology, generate_transit_stub
@@ -121,10 +123,6 @@ class TopologyCache:
             return self._disk_dir
         return os.environ.get(ENV_CACHE_DIR) or None
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (the disk tier is left untouched)."""
-        self._memory.clear()
-
     def _entry_path(self, key: str) -> Optional[str]:
         directory = self.disk_dir
         if not directory:
@@ -197,18 +195,10 @@ class TopologyCache:
         matrices = oracle.to_matrices()
         arrays["oracle_intra"] = matrices["intra"]
         arrays["oracle_core"] = matrices["core"]
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".npz.tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(handle, **arrays)
-                os.replace(tmp_path, path)
-            finally:
-                if os.path.exists(tmp_path):
-                    os.remove(tmp_path)
+            publish(path, buffer.getvalue())
         except OSError:
             # A read-only or full cache directory must never fail the run.
             pass

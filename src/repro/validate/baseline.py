@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ValidationError
+from ..fileio import publish
 from ..metrics.stats import bootstrap_ci_95, mean_and_ci
 
 #: Version of the baseline file shape (bump on incompatible change).
@@ -302,17 +302,8 @@ def build_baseline(
 
 def save_baseline(baseline: Baseline, path: str) -> None:
     """Atomically write ``baseline`` as indented JSON."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".repro-baseline-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(baseline.to_payload(), handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+    text = json.dumps(baseline.to_payload(), indent=2) + "\n"
+    publish(path, text.encode("utf-8"))
 
 
 def load_baseline(path: str) -> Baseline:

@@ -210,8 +210,8 @@ def run_join_selection_differential(seed: int = 0) -> OracleOutcome:
     values and the messages each records.
     """
     from ..protocols import PROTOCOLS
-    from ..protocols.base import naive_select_min_depth
-    from ..protocols.longest_first import LongestFirstProtocol, naive_select_oldest
+    from ..protocols.base import naive_select_min
+    from ..protocols.longest_first import LongestFirstProtocol
     from ..simulation.churn import ChurnSimulation
 
     sim = ChurnSimulation(_tiny_config(seed + 200), PROTOCOLS["rost"])
@@ -229,12 +229,12 @@ def run_join_selection_differential(seed: int = 0) -> OracleOutcome:
             (
                 "select_min_depth",
                 picked,
-                naive_select_min_depth(oracle, joiner, candidates),
+                naive_select_min(oracle, joiner, candidates, "layer"),
             ),
             (
                 "select_oldest",
                 longest_first._select_oldest(joiner, candidates),
-                naive_select_oldest(oracle, joiner, candidates),
+                naive_select_min(oracle, joiner, candidates, "join_time"),
             ),
         ):
             comparisons += 1

@@ -20,10 +20,10 @@ anything.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from ..fileio import publish
 
 #: Version of the report JSON shape (bump on incompatible change).
 REPORT_SCHEMA_VERSION = 1
@@ -223,13 +223,4 @@ class DiffReport:
 
 def write_report(payload: Dict[str, object], path: str) -> None:
     """Atomically write a report payload as indented JSON."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".repro-validate-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+    publish(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))

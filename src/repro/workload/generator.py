@@ -39,10 +39,6 @@ class ChurnWorkload:
         """Number of member sessions alive at virtual time ``t``."""
         return sum(1 for s in self.sessions if s.arrival_s <= t < s.departure_s)
 
-    def expected_population(self) -> float:
-        """Little's-law steady-state population (the configured target M)."""
-        return self.config.target_population
-
 
 def generate_workload(
     config: WorkloadConfig,

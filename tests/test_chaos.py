@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.faults import FaultInjector, FaultSchedule, FlashCrowd, NodeCrash
+from repro.invariants import check_tree
 from repro.metrics.collectors import ResilienceMetrics
 from repro.protocols import PROTOCOLS
 from repro.simulation.churn import ChurnSimulation
@@ -65,7 +66,7 @@ def test_mass_simultaneous_failure(protocol_name):
     assert len(injector.log[0][2]["killed"]) == 60
     # every surviving member is attached again by the end
     assert sim.tree.num_attached == 61  # 60 survivors + root
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
 
 
 def test_capacity_famine_rejects_gracefully():
@@ -108,7 +109,7 @@ def test_flash_join_single_instant():
     alive = sum(1 for s in burst if s.departure_s > horizon)
     assert sim.tree.num_attached == 1 + 5 + alive
     assert sim.tree.num_attached > 100  # the crowd genuinely joined
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
 
 
 def test_repeated_decapitation():
@@ -139,7 +140,7 @@ def test_repeated_decapitation():
     )
     sim.run()
     resilience.finish(horizon)
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
     assert len(injector.log) == 8  # every wave fired
     assert sum(len(d["killed"]) for _, _, d in injector.log) == 40
     assert resilience.disruption_events["fault:node-crash"] > 0
@@ -184,7 +185,7 @@ def test_capacity_wedge_is_survived_not_solved():
         cfg, PROTOCOLS["rost"], workload=workload, check_invariants=True
     )
     result = sim.run()
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
     # the system survives; whether it wedges depends on who wins the race
     # for the 4 root slots, and with this seed the free-riders do
     assert sim.tree.num_attached < 20
@@ -226,5 +227,5 @@ def test_churn_storm_many_short_sessions():
         cfg, PROTOCOLS["rost"], workload=workload, check_invariants=True
     )
     sim.run()
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
     assert sim.tree.num_attached == 1

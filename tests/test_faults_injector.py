@@ -16,6 +16,7 @@ from repro.faults import (
     NodeCrash,
     StubDomainOutage,
 )
+from repro.invariants import check_tree
 from repro.metrics.collectors import ResilienceMetrics
 from repro.protocols import PROTOCOLS
 from repro.simulation.churn import ChurnSimulation
@@ -92,7 +93,7 @@ def test_node_crash_kills_count():
     assert sim.tree.num_attached == 26  # 30 - 5 victims + root
     assert "fault:node-crash" in res.disruption_events
     assert res.faults_fired == [(500.0, "node-crash", detail)]
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
 
 
 def test_node_crash_explicit_member_ids():
@@ -112,7 +113,7 @@ def test_stale_natural_departures_noop_after_kill():
     )
     assert len(injector.log[0][2]["killed"]) == 5
     assert sim.tree.num_attached == 1  # everyone is gone, nothing crashed
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
 
 
 def test_injected_kill_beats_same_instant_departure():
@@ -192,7 +193,7 @@ def test_flash_crowd_spawns_fresh_members():
     # arithmetic: stable members + burst members still alive at the horizon
     alive = sum(1 for s in burst if s.departure_s > horizon)
     assert sim.tree.num_attached == 1 + 5 + alive
-    sim.tree.check_invariants()
+    check_tree(sim.tree)
 
 
 def test_churn_surge_compresses_departures():

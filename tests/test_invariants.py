@@ -3,7 +3,8 @@
 The end-to-end "a seeded bug trips its checker" demonstrations live in
 ``tests/fuzz/test_mutation_smoke.py``; this module covers the registry
 contract, checker lifecycle/configuration, and the pure-structure
-invariants that can be exercised by corrupting a tree directly.
+invariants that can be exercised by corrupting a tree directly (through
+the checker, and through :func:`check_tree` on a bare tree).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.invariants import (
     InvariantChecker,
     InvariantViolation,
     all_invariants,
+    check_tree,
     get_invariant,
     invariants_for,
     register_invariant,
@@ -252,3 +254,80 @@ def test_queue_accounting_drift_is_detected():
     target.sim.event_queue._live += 1  # seeded bookkeeping bug
     checker.finalize()
     assert "sim-queue-accounting" in checker.violation_names
+
+
+# -- check_tree: the tree-shape checks on a bare tree ---------------------------
+
+
+def _sound_tree():
+    """root -> a -> c and root -> b, plus d registered but detached."""
+    tree = MulticastTree(make_node(0, bandwidth=3.0, cap=3, is_root=True))
+    nodes = {name: make_node(i, cap=2) for i, name in enumerate("abcd", start=1)}
+    for node in nodes.values():
+        tree.add_member(node)
+    tree.attach(nodes["a"], tree.root)
+    tree.attach(nodes["b"], tree.root)
+    tree.attach(nodes["c"], nodes["a"])
+    return tree, nodes
+
+
+def _parent_chain_cycle(tree, n):
+    n["c"].children.append(n["a"])
+    n["a"].parent = n["c"]
+
+
+def _attached_count_drift(tree, n):
+    tree._attached_count += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, caught_by",
+    [
+        pytest.param(_parent_chain_cycle, "tree-acyclicity", id="cycle"),
+        pytest.param(
+            lambda tree, n: setattr(n["c"], "parent", n["b"]),
+            "tree-single-parent",
+            id="broken-backlink",
+        ),
+        pytest.param(
+            lambda tree, n: setattr(n["c"], "layer", 5),
+            "tree-attachment",
+            id="layer-mismatch",
+        ),
+        pytest.param(
+            _attached_count_drift, "tree-attachment", id="attached-count-drift"
+        ),
+        pytest.param(
+            lambda tree, n: setattr(n["a"], "out_degree_cap", 0),
+            "tree-degree-cap",
+            id="over-cap",
+        ),
+        pytest.param(
+            lambda tree, n: setattr(n["c"], "attached", False),
+            "tree-attachment",
+            id="reachable-flagged-detached",
+        ),
+        pytest.param(
+            lambda tree, n: tree.members.pop(n["c"].member_id),
+            "tree-attachment",
+            id="reachable-unregistered",
+        ),
+        pytest.param(
+            lambda tree, n: setattr(n["d"], "parent", n["b"]),
+            "tree-single-parent",
+            id="detached-under-attached",
+        ),
+        pytest.param(
+            lambda tree, n: n["a"].children.append(n["c"]),
+            "tree-single-parent",
+            id="child-listed-twice",
+        ),
+    ],
+)
+def test_check_tree_raises_on_corruption(corrupt, caught_by):
+    tree, nodes = _sound_tree()
+    check_tree(tree)
+    corrupt(tree, nodes)
+    with pytest.raises(InvariantError) as excinfo:
+        check_tree(tree)
+    assert excinfo.value.violation.invariant == caught_by

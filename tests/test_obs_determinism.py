@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import common
 from repro.experiments.runner import main
+from repro.invariants import ENV_CHECK_INVARIANTS, checking_enabled
 from repro.obs.capture import (
     ENV_METRICS,
     ENV_PROFILE,
@@ -87,7 +88,7 @@ def test_obs_env_restored_after_main(tmp_path):
 
 def test_check_invariants_env_restored_after_main(tmp_path, monkeypatch):
     """--check-invariants must not stay on for later runs in the process."""
-    monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+    monkeypatch.delenv(ENV_CHECK_INVARIANTS, raising=False)
     store = tmp_path / "runs.runstore"
     code = main([
         "run", "fig05",
@@ -98,9 +99,9 @@ def test_check_invariants_env_restored_after_main(tmp_path, monkeypatch):
         "--store", str(store),
     ])
     assert code == 0
-    for name in ("REPRO_CHECK_INVARIANTS", "REPRO_STORE_DIR"):
+    for name in (ENV_CHECK_INVARIANTS, "REPRO_STORE_DIR"):
         assert name not in os.environ, f"{name} leaked out of main()"
-    assert not common._invariants_enabled()
+    assert not checking_enabled()
 
 
 def test_untraced_run_writes_no_trace_file(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TreeError
+from repro.invariants import check_tree
 from repro.overlay.tree import MulticastTree
 from tests.conftest import make_node
 
@@ -52,7 +53,7 @@ class TestAttachDetach:
         assert (a.layer, b.layer) == (1, 2)
         assert a.attached and b.attached and b.ever_attached
         assert tree.num_attached == 3
-        tree.check_invariants()
+        check_tree(tree)
 
     def test_attach_subtree_relabels(self):
         tree = new_tree()
@@ -64,7 +65,7 @@ class TestAttachDetach:
         assert not c.attached and c.layer == -1
         tree.attach(a, tree.root)
         assert (a.layer, b.layer, c.layer) == (1, 2, 3)
-        tree.check_invariants()
+        check_tree(tree)
 
     def test_attach_capacity_enforced(self):
         tree = new_tree(root_cap=1)
@@ -109,7 +110,7 @@ class TestDeparture:
         assert set(orphans) == {b, c}
         assert all(o.parent is None and not o.attached for o in orphans)
         assert 1 not in tree.members
-        tree.check_invariants()
+        check_tree(tree)
 
     def test_remove_detached_member(self):
         tree = new_tree()
@@ -166,7 +167,7 @@ class TestSwap:
         assert {n.member_id for n in a.children} == {4, 5}
         assert f.parent is b and f.layer == 2
         assert d.layer == 3 and e.layer == 3
-        tree.check_invariants()
+        check_tree(tree)
 
     def test_swap_requires_grandparent(self):
         tree = new_tree()
@@ -220,7 +221,7 @@ class TestSwap:
         # a2 keeps one child; b2 has a2 plus one overflow... b2 cap=2 holds
         # a2 and the higher-priority child; the remaining child is orphaned
         assert len(rejoins) == 0 or all(not r.attached for r in rejoins)
-        tree2.check_invariants()
+        check_tree(tree2)
 
 
 class TestPromotion:
@@ -236,7 +237,7 @@ class TestPromotion:
         assert b.parent is tree.root
         assert b.layer == 1 and c.layer == 2
         assert a.children == []
-        tree.check_invariants()
+        check_tree(tree)
 
     def test_promote_requires_spare(self):
         tree = new_tree(root_cap=1)
@@ -316,4 +317,4 @@ def test_random_operation_sequences_keep_invariants(caps, seed):
                     tree.promote_to_grandparent(node)
         except TreeError:
             raise
-        tree.check_invariants()
+        check_tree(tree)

@@ -275,4 +275,4 @@ def test_atomic_out_preserves_append_semantics(tmp_path):
     assert content.startswith("previous run\n")
     assert "Fig. 5" in content
     # no temp droppings left behind
-    assert list(tmp_path.glob(".repro-out-*")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["tables.txt"]

@@ -117,8 +117,7 @@ else:
         tiny_topology, tiny_oracle, data, root_cap, members, joiner_underlay
     ):
         """The pruned selectors pick the very member the full scans pick."""
-        from repro.protocols.base import naive_select_min_depth
-        from repro.protocols.longest_first import naive_select_oldest
+        from repro.protocols.base import naive_select_min
 
         harness = Harness(tiny_topology, tiny_oracle, root_cap=root_cap)
         tree = harness.tree
@@ -143,9 +142,9 @@ else:
 
         min_depth = MinimumDepthProtocol(harness.ctx)
         assert min_depth.select_min_depth(joiner, candidates) is (
-            naive_select_min_depth(harness.oracle, joiner, candidates)
+            naive_select_min(harness.oracle, joiner, candidates, "layer")
         )
         longest_first = LongestFirstProtocol(harness.ctx)
         assert longest_first._select_oldest(joiner, candidates) is (
-            naive_select_oldest(harness.oracle, joiner, candidates)
+            naive_select_min(harness.oracle, joiner, candidates, "join_time")
         )

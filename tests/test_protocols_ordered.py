@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.invariants import check_tree
 from repro.protocols.relaxed_bo import RelaxedBandwidthOrderedProtocol
 from repro.protocols.relaxed_to import RelaxedTimeOrderedProtocol
 from tests.protocol_harness import Harness
@@ -121,4 +122,4 @@ class TestRelaxedTimeOrdered:
         # everybody ends up attached somewhere
         assert all(m.attached for m in members)
         assert elder.attached
-        harness.tree.check_invariants()
+        check_tree(harness.tree)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.invariants import check_tree
 from repro.protocols.rost import RostProtocol
 from tests.protocol_harness import Harness
 
@@ -43,7 +44,7 @@ class TestSwitching:
         assert b.parent is harness.tree.root
         assert a.parent is b
         assert proto.switches >= 1
-        harness.tree.check_invariants()
+        check_tree(harness.tree)
 
     def test_bandwidth_guard_blocks_small_bw(self, harness):
         proto = RostProtocol(harness.ctx, promote_into_spare=False)
@@ -74,7 +75,7 @@ class TestSwitching:
         harness.sim.run_until(1000.0)
         assert b.parent is harness.tree.root
         assert a.parent is b
-        harness.tree.check_invariants()
+        check_tree(harness.tree)
 
     def test_overhead_counted_per_affected_member(self, harness):
         counts = []
@@ -122,7 +123,7 @@ class TestPromotion:
         assert b.parent is harness.tree.root
         assert a.parent is harness.tree.root  # nobody was demoted
         assert proto.promotions >= 1
-        harness.tree.check_invariants()
+        check_tree(harness.tree)
 
     def test_free_riders_never_promote(self, harness):
         proto = RostProtocol(harness.ctx)

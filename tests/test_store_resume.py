@@ -217,6 +217,24 @@ def test_serial_run_checkpoints_units_like_a_parallel_run(tmp_path):
     assert [row["unit_key"] for row in rows if row["hits"] == 0] == [victim]
 
 
+def test_checked_resume_does_not_replay_unchecked_rows(tmp_path):
+    """``--resume --check-invariants`` over a store an unchecked run
+    filled must simulate under the checker, not replay the figure row."""
+    store_root = tmp_path / "fig05.runstore"
+    assert main(_fig05_args(store_root, 1)) == 0
+    common.clear_caches()
+    assert main(_fig05_args(store_root, 1, "--resume", "--check-invariants")) == 0
+    store = RunStore(str(store_root))
+    assert store.ledger.runs()[-1]["units_replayed"] == 0
+    checked = [
+        row
+        for row in store.ledger.units("sim:churn")
+        if json.loads(row["params_json"])["checked"]
+    ]
+    assert len(checked) == 5
+    assert all(row["executions"] == 1 for row in checked)
+
+
 def test_resume_without_store_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
     with pytest.raises(SystemExit) as excinfo:

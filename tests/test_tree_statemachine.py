@@ -18,6 +18,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.invariants import check_tree
 from repro.overlay.tree import MulticastTree
 from tests.conftest import make_node
 
@@ -100,7 +101,7 @@ class TreeMachine(RuleBasedStateMachine):
     @invariant()
     def structure_is_sound(self):
         if hasattr(self, "tree"):
-            self.tree.check_invariants()
+            check_tree(self.tree)
 
     @invariant()
     def attached_count_matches(self):
