@@ -6,16 +6,22 @@ simulation unit that names them (:mod:`~repro.experiments.units`), so
 figures that read the same simulations (Figs 4/7/8/10; Figs 6/9) pay for
 them once.  All protocols within one sweep run against a byte-identical
 workload over a shared underlay, mirroring the paper's methodology.
+
+The run flags travel as environment variables (:func:`exported_env`);
+:class:`Instruments` turns them into each simulation's instruments.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..config import SimulationConfig, paper_config
-from ..obs.capture import ObsUnit
+from ..invariants import InvariantChecker, checking_enabled
+from ..obs.capture import ObsUnit, emit_unit, obs_active
 from ..protocols import PROTOCOLS
 from ..protocols.rost import RostProtocol
 from ..sim.rng import RngRegistry
@@ -106,11 +112,9 @@ def shared_topology(config: SimulationConfig):
     return default_cache().get(config.topology)
 
 
-def shared_workload(
-    config: SimulationConfig, probe: Optional[Session] = None, salt: int = 0
-):
-    """One workload per (topology config, workload config, horizon, probe,
-    salt) — identical across the protocols of a sweep."""
+def shared_workload(config: SimulationConfig, probe: Optional[Session] = None):
+    """One workload per (topology config, workload config, horizon, probe)
+    — identical across the protocols of a sweep."""
     topology, _ = shared_topology(config)
     probe_key = None
     if probe is not None:
@@ -119,7 +123,7 @@ def shared_workload(
     # underlay, and two scales can coincide on every workload field (e.g.
     # scale 0.02 x size 5000 and scale 0.05 x size 2000 both target 100
     # members with the same derived seed) while their underlays differ.
-    key = (config.topology, config.workload, round(config.horizon_s, 6), probe_key, salt)
+    key = (config.topology, config.workload, round(config.horizon_s, 6), probe_key)
     workload = _workload_cache.get(key)
     if workload is None:
         rngs = RngRegistry(config.seed)
@@ -159,3 +163,67 @@ def default_probe(settings: SweepSettings, population: int) -> Session:
         bandwidth=2.0,
         underlay_node=topology.stub_nodes[len(topology.stub_nodes) // 2],
     )
+
+
+@contextmanager
+def exported_env(values: Mapping[str, Optional[str]]) -> Iterator[None]:
+    """Set environment variables for the block (``None`` unsets one), then
+    restore them.  The run flags travel this way: the environment reaches
+    pool workers, forked or spawned, and this process alike."""
+    saved = {name: os.environ.get(name) for name in values}
+    _set_env(values)
+    try:
+        yield
+    finally:
+        _set_env(saved)
+
+
+def _set_env(values: Mapping[str, Optional[str]]) -> None:
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+
+class Instruments:
+    """The invariant checker and the obs attachments riding one run.
+
+    The one place that decides them, from the run flags alone, for every
+    simulation the harness builds: sweep units, campaign cells and the
+    extensions' runs.
+    """
+
+    def __init__(self) -> None:
+        self._mode = checking_enabled()
+        self._observed = obs_active()
+        #: Every checker :meth:`checker` made, in order.
+        self.checkers: List[InvariantChecker] = []
+        self._attachments: list = []
+
+    def checker(self):
+        """A fresh checker for one simulation — strict, or reporting
+        under :data:`~repro.invariants.CHECK_REPORT` — or ``False`` when
+        the run is unchecked."""
+        if not self._mode:
+            return False
+        checker = InvariantChecker(strict=self._mode is True)
+        self.checkers.append(checker)
+        return checker
+
+    def observe(self, sim, meta: Dict[str, object]) -> None:
+        """Attach an :class:`~repro.obs.attach.ObsAttachment` to ``sim``
+        when an obs channel is on; ``meta`` names the run in its ObsUnit."""
+        if self._observed:
+            from ..obs.attach import ObsAttachment
+
+            self._attachments.append(ObsAttachment(meta=meta).attach(sim))
+
+    def finish(self) -> List[ObsUnit]:
+        """The observed runs' finalized ObsUnits, in attach order."""
+        return [attachment.finalize() for attachment in self._attachments]
+
+    def emit(self) -> None:
+        """Hand :meth:`finish`'s ObsUnits to the ambient job capture."""
+        for obs_unit in self.finish():
+            emit_unit(obs_unit)

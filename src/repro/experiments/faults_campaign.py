@@ -33,19 +33,13 @@ def run_faults_scenario(
     spec=None,
     scenario: Optional[str] = None,
     protocol: Optional[str] = None,
-    check_invariants: bool = False,
     **_,
 ) -> ExperimentResult:
     campaign = resolve_campaign(spec)
     scenario_name = scenario if scenario is not None else campaign.scenarios[0].name
     protocol_name = protocol if protocol is not None else campaign.protocols[0]
     data = run_scenario(
-        campaign,
-        scenario_name,
-        protocol_name,
-        seed=seed,
-        scale=scale,
-        check_invariants=check_invariants,
+        campaign, scenario_name, protocol_name, seed=seed, scale=scale
     )
     scheme_names = sorted(data["schemes"])
     table = render_table(
@@ -89,17 +83,11 @@ def register_campaign(experiment_id: str, title: str, spec_class, data=None):
         spec=None,
         jobs: Optional[int] = 1,
         job_timeout: Optional[float] = None,
-        check_invariants: bool = False,
         **_,
     ) -> ExperimentResult:
         campaign = spec_class.resolve(spec)
         report = run_campaign(
-            campaign,
-            scale=scale,
-            seed=seed,
-            jobs=jobs,
-            timeout_s=job_timeout,
-            check_invariants=check_invariants,
+            campaign, scale=scale, seed=seed, jobs=jobs, timeout_s=job_timeout
         )
         return ExperimentResult(
             experiment_id=experiment_id,

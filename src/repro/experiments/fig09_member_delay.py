@@ -17,17 +17,18 @@ from .common import DEFAULT_SINGLE_SIZE, PROTOCOL_ORDER
 from .fig06_member_disruptions import SAMPLE_MINUTES, probe_units
 from .registry import ExperimentResult, register
 
+#: Half-width of the averaging window around each minute mark.
+HALF_WINDOW_MIN = 16.0
 
-def window_average(
-    series: TimeSeries, start_s: float, minutes, half_window_min: float = 16.0
-) -> List[float]:
+
+def window_average(series: TimeSeries, start_s: float, minutes) -> List[float]:
     """Average the sampled delay in a window around each minute mark."""
     times = np.asarray(series.times)
     values = np.asarray(series.values)
     output = []
     for minute in minutes:
         center = start_s + minute * 60.0
-        mask = np.abs(times - center) <= half_window_min * 60.0
+        mask = np.abs(times - center) <= HALF_WINDOW_MIN * 60.0
         output.append(float(values[mask].mean()) if mask.any() else float("nan"))
     return output
 

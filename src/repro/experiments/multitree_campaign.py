@@ -36,7 +36,6 @@ def run_multitree_scenario(
     scenario: Optional[str] = None,
     protocol: Optional[str] = None,
     trees: Optional[int] = None,
-    check_invariants: bool = False,
     **_,
 ) -> ExperimentResult:
     campaign = resolve_multitree_campaign(spec)
@@ -50,7 +49,6 @@ def run_multitree_scenario(
         num_trees=num_trees,
         seed=seed,
         scale=scale,
-        check_invariants=check_invariants,
     )
     table = render_table(
         f"K-tree scenario {scenario_name!r} "

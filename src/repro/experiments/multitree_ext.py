@@ -20,7 +20,7 @@ from __future__ import annotations
 from ..metrics.report import render_table
 from ..multitree.driver import MultiTreeSimulation
 from ..protocols import PROTOCOLS
-from .common import DEFAULT_SINGLE_SIZE, SweepSettings
+from .common import DEFAULT_SINGLE_SIZE, Instruments, SweepSettings
 from .registry import ExperimentResult, register
 
 TREE_COUNTS = (1, 2, 4)
@@ -44,15 +44,20 @@ def run(
     data = {}
     topology = oracle = None
     for num_trees in tree_counts:
+        instruments = Instruments()
         sim = MultiTreeSimulation(
             config,
             PROTOCOLS["rost"],
             num_trees=num_trees,
             topology=topology,
             oracle=oracle,
+            check_invariants=instruments.checker,
         )
         topology, oracle = sim.topology, sim.oracle
+        for stripe, meta in sim.stripes():
+            instruments.observe(stripe, meta)
         result = sim.run()
+        instruments.emit()
         rows.append(
             [
                 num_trees,

@@ -16,7 +16,7 @@ from ..metrics.report import render_table
 from ..protocols import PROTOCOLS
 from ..recovery.schemes import cer_scheme
 from ..simulation.streaming import RecoverySimulation
-from .common import DEFAULT_SINGLE_SIZE, SweepSettings, shared_topology
+from .common import DEFAULT_SINGLE_SIZE, Instruments, SweepSettings, shared_topology
 from .registry import ExperimentResult, register
 
 GROUP_SIZES = (1, 2, 3)
@@ -46,10 +46,18 @@ def run(
         # Run directly (bypassing the run cache, which does not key on the
         # rescue flag) over the shared underlay.
         topology, oracle = shared_topology(config)
+        instruments = Instruments()
         sim = RecoverySimulation(
-            config, PROTOCOLS["min-depth"], schemes, topology=topology, oracle=oracle
+            config,
+            PROTOCOLS["min-depth"],
+            schemes,
+            topology=topology,
+            oracle=oracle,
+            check_invariants=instruments.checker(),
         )
+        instruments.observe(sim, {"kind": "recovery", "scale": scale, "rescue": rescue})
         outcome = sim.run()
+        instruments.emit()
         label = "rescue" if rescue else "baseline"
         ratios = [outcome.ratio_pct(s.name) for s in schemes]
         rows.append([label, *ratios])

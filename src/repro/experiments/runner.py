@@ -28,12 +28,15 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..faults.campaign import CampaignSpec, run_campaign
 from ..fileio import publish
+from ..invariants import CHECK_REPORT, ENV_CHECK_INVARIANTS
 from ..multitree.campaign import MultiTreeCampaignSpec
+from ..obs.capture import ENV_METRICS, ENV_PROFILE, ENV_TRACE, ENV_TRACE_EVENTS
+from ..store.runstore import ENV_STORE_DIR, ENV_STORE_RESUME
+from .common import exported_env
 from .pool import ExperimentJob, resolve_jobs, run_jobs
 from .registry import get_experiment, list_experiments
 
@@ -157,10 +160,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--check-invariants",
         action="store_true",
         help="run every simulation under the strict runtime invariant "
-        "checker (see docs/invariants.md); the first violation aborts. "
-        "Not reached yet: ext-multitree, ext-rescue, faults_campaign, "
-        "faults_scenario, multitree_resilience and multitree_scenario "
-        "(check the campaigns with their own subcommands' flag)",
+        "checker (see docs/invariants.md); the first violation aborts",
     )
     _add_validate_argument(parser)
     _add_obs_arguments(parser)
@@ -483,57 +483,39 @@ def _write_svg(result, directory: str) -> None:
         chart = experiment_chart(result)
     except ValueError:
         return  # experiment without series data (e.g. fig14)
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{result.experiment_id}.svg")
-    with open(path, "w") as handle:
-        handle.write(chart)
+    publish(path, chart.encode("utf-8"))
 
 
-@contextmanager
-def _exported_flags(args) -> Iterator[None]:
-    """Export the CLI flags that travel as environment variables, and
-    restore the previous values on exit.
+def _exported_flags(args):
+    """Export the CLI flags that travel as environment variables for one
+    command (:func:`~repro.experiments.common.exported_env`); a flag that
+    is off leaves its variable as the caller's environment has it.
 
-    The obs flags, ``--store``/``--resume`` and (for ``run``/``all``)
-    ``--check-invariants`` must reach simulations built inside pool
-    workers as well as in this process, and the environment is the only
-    channel that survives both start methods.  Restoring keeps repeated
-    in-process invocations (tests) independent.
+    ``--check-invariants`` is strict under ``run``/``all``; the campaign
+    subcommands export reporting around their fan-out alone
+    (:func:`_run_campaign`).
     """
-    from ..invariants import ENV_CHECK_INVARIANTS
-    from ..obs.capture import ENV_METRICS, ENV_PROFILE, ENV_TRACE, ENV_TRACE_EVENTS
-    from ..store.runstore import ENV_STORE_DIR, ENV_STORE_RESUME
-
     switches = {
         ENV_TRACE: getattr(args, "trace", None),
         ENV_TRACE_EVENTS: getattr(args, "trace_events", False),
         ENV_METRICS: getattr(args, "metrics", False),
         ENV_PROFILE: getattr(args, "profile", False),
         ENV_STORE_RESUME: getattr(args, "resume", False),
-        # Campaigns hand --check-invariants to run_campaign instead.
         ENV_CHECK_INVARIANTS: getattr(args, "check_invariants", False)
-        and args.command in ("run", "all"),
+        and args.command not in _CAMPAIGNS,
     }
     exported = {name: "1" for name, on in switches.items() if on}
     if getattr(args, "store", None):
         exported[ENV_STORE_DIR] = args.store
-    saved = {name: os.environ.get(name) for name in exported}
-    os.environ.update(exported)
-    try:
-        yield
-    finally:
-        for name, old in saved.items():
-            if old is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = old
+    return exported_env(exported)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and not (
-        getattr(args, "store", None) or os.environ.get("REPRO_STORE_DIR")
+        getattr(args, "store", None) or os.environ.get(ENV_STORE_DIR)
     ):
         parser.error("--resume requires --store DIR (or $REPRO_STORE_DIR)")
     if getattr(args, "validate", None) and not os.path.isdir(args.validate):
@@ -560,14 +542,18 @@ def _run_campaign(args) -> int:
         args.spec_path if args.spec_path is not None else args.spec
     )
     recorder = _StoreRunRecorder()
-    report = run_campaign(
-        campaign,
-        scale=args.scale,
-        seed=args.seed,
-        jobs=args.jobs,
-        timeout_s=args.job_timeout,
-        check_invariants=args.check_invariants,
-    )
+    # Reporting checkers ride the campaign's cells only, whose records
+    # carry their findings; a --validate gate afterwards runs unchecked.
+    with exported_env(
+        {ENV_CHECK_INVARIANTS: CHECK_REPORT if args.check_invariants else None}
+    ):
+        report = run_campaign(
+            campaign,
+            scale=args.scale,
+            seed=args.seed,
+            jobs=args.jobs,
+            timeout_s=args.job_timeout,
+        )
     emitter = _Emitter(args.out)
     emitter.emit(report.table)
     violations = report.data.get("invariant_violations")

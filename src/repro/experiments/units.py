@@ -59,7 +59,7 @@ class _Unit:
     """What both unit kinds share: the run-cache key."""
 
     def cache_key(self) -> tuple:
-        """The run-cache key: the unit, the invariant flag and the obs
+        """The run-cache key: the unit, the checking mode and the obs
         fingerprint, read from the environment at call time (a run
         checked or observed under one setting is never served under
         another)."""
@@ -95,7 +95,7 @@ class ChurnUnit(_Unit):
             "checked": checking_enabled(),
         }
 
-    def build(self, checked: bool) -> Tuple[ChurnSimulation, dict]:
+    def build(self, check_invariants) -> Tuple[ChurnSimulation, dict]:
         """This unit's simulation and the meta of its ObsUnit."""
         probe = None
         if self.probe == DEFAULT_PROBE:
@@ -111,7 +111,7 @@ class ChurnUnit(_Unit):
             oracle=oracle,
             workload=common.shared_workload(config, probe=probe),
             probe=probe,
-            check_invariants=checked,
+            check_invariants=check_invariants,
         )
         meta = {
             "kind": "churn",
@@ -149,7 +149,7 @@ class RecoveryUnit(_Unit):
             "checked": checking_enabled(),
         }
 
-    def build(self, checked: bool) -> Tuple[RecoverySimulation, dict]:
+    def build(self, check_invariants) -> Tuple[RecoverySimulation, dict]:
         config = self.settings.config(self.population)
         if self.replica:
             config = config.with_seed(self.settings.seed + 1000 * self.replica)
@@ -160,7 +160,7 @@ class RecoveryUnit(_Unit):
             list(self.schemes),
             topology=topology,
             oracle=oracle,
-            check_invariants=checked,
+            check_invariants=check_invariants,
         )
         meta = {
             "kind": "recovery",
@@ -212,15 +212,11 @@ def _replay_or_simulate(unit: SimulationUnit, key: tuple) -> None:
                 seed_unit(unit, stored)
                 return
             store.ledger.forget_unit(store_key)
-    _, checked, obs_fp = key
-    sim, meta = unit.build(checked)
-    attachment = None
-    if any(obs_fp):
-        from ..obs.attach import ObsAttachment
-
-        attachment = ObsAttachment(meta=meta).attach(sim)
+    instruments = common.Instruments()
+    sim, meta = unit.build(instruments.checker())
+    instruments.observe(sim, meta)
     result = sim.run()
-    obs_unit = attachment.finalize(result) if attachment is not None else None
+    obs_unit = next(iter(instruments.finish()), None)
     if store is not None:
         store.record_sim_unit(store_key, unit, _payload_json(unit, result, obs_unit))
     common._run_cache[key] = (result, obs_unit)

@@ -44,7 +44,6 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig, paper_config
 from ..errors import FaultError
-from ..obs.capture import emit_unit, obs_active
 from ..metrics.collectors import ResilienceMetrics
 from ..metrics.report import render_table
 from ..protocols import PROTOCOLS
@@ -391,7 +390,8 @@ def fault_log_records(log) -> List[dict]:
 
 
 def invariants_block(checkers) -> dict:
-    """A run record's ``invariants`` block from its non-strict checkers."""
+    """A checked run record's ``invariants`` block from its checkers (a
+    strict checker's block reads 0 violations: the first one raises)."""
     violations = [v for checker in checkers for v in checker.violations]
     return {
         "checked": True,
@@ -410,54 +410,45 @@ def run_scenario(
     protocol_name: str,
     seed: int,
     scale: float = 1.0,
-    check_invariants: bool = False,
 ) -> dict:
     """Run one scenario under one protocol and seed; returns the JSON-ready
     per-run resilience record (the campaign report's ``runs`` entries).
 
-    With ``check_invariants`` the run carries a non-strict
-    :class:`~repro.invariants.InvariantChecker`; its findings land in the
-    record's ``invariants`` block instead of aborting the campaign.
+    The run flags decide the checker and the obs channels
+    (:class:`~repro.experiments.common.Instruments`); a checked run's
+    findings land in the record's ``invariants`` block.
     """
-    from ..experiments.common import protocol_factory, shared_topology
+    from ..experiments.common import Instruments, protocol_factory, shared_topology
 
     scenario = spec.scenario(scenario_name)
     config = spec.config(seed, scale)
     topology, oracle = shared_topology(config)
-    checker = None
-    if check_invariants:
-        from ..invariants import InvariantChecker
-
-        checker = InvariantChecker(strict=False)
+    instruments = Instruments()
     sim = RecoverySimulation(
         config,
         protocol_factory(protocol_name),
         spec.scheme_list(),
         topology=topology,
         oracle=oracle,
-        check_invariants=checker if checker is not None else False,
+        check_invariants=instruments.checker(),
     )
     resilience = ResilienceMetrics(config.warmup_s, config.horizon_s)
     injector = FaultInjector(FaultSchedule(seed=seed, faults=scenario.faults))
     injector.bind(sim.churn, resilience=resilience)
-    attachment = None
-    if obs_active():
-        from ..obs.attach import ObsAttachment
-
-        attachment = ObsAttachment(
-            meta={
-                "kind": "recovery",
-                "scenario": scenario.name,
-                "protocol": protocol_name,
-                "population": spec.population,
-                "seed": seed,
-                "scale": scale,
-            }
-        ).attach(sim)
+    instruments.observe(
+        sim,
+        {
+            "kind": "recovery",
+            "scenario": scenario.name,
+            "protocol": protocol_name,
+            "population": spec.population,
+            "seed": seed,
+            "scale": scale,
+        },
+    )
     result = sim.run()
     resilience.finish(config.horizon_s)
-    if attachment is not None:
-        emit_unit(attachment.finalize(result))
+    instruments.emit()
 
     churn_metrics = result.churn.metrics
     schemes = {}
@@ -499,8 +490,8 @@ def run_scenario(
         "resilience": resilience.as_dict(),
         "schemes": schemes,
     }
-    if checker is not None:
-        record["invariants"] = invariants_block([checker])
+    if instruments.checkers:
+        record["invariants"] = invariants_block(instruments.checkers)
     return record
 
 
@@ -527,15 +518,14 @@ def run_campaign(
     seed: int = 42,
     jobs: Optional[int] = None,
     timeout_s: Optional[float] = None,
-    check_invariants: bool = False,
 ) -> CampaignReport:
     """Fan the campaign's grid cells x seeds out and merge the runs.
 
     Jobs go through :func:`repro.experiments.pool.run_jobs`, which
     preserves submission order, so the emitted report is byte-identical
-    for a given seed at any ``jobs`` value.  ``check_invariants`` runs
-    every unit under a non-strict invariant checker and rolls the
-    violation counts up into the report.
+    for a given seed at any ``jobs`` value.  Under
+    ``REPRO_CHECK_INVARIANTS`` every cell runs checked (see
+    :func:`run_scenario`) and the report rolls the violation counts up.
 
     With a durable run store active (``REPRO_STORE_DIR``), each unit
     commits to the ledger as it completes; under ``REPRO_STORE_RESUME``
@@ -547,9 +537,6 @@ def run_campaign(
 
     seeds = list(spec.run_seeds(seed))
     spec_json = spec.canonical_json()
-    # Only added when enabled, so job identities (and any caching keyed on
-    # them) are unchanged for ordinary runs.
-    extra = {"check_invariants": True} if check_invariants else {}
     cells = spec.cells()
     batch = [
         pool.ExperimentJob.make(
@@ -558,7 +545,6 @@ def run_campaign(
             seed=run_seed,
             spec=spec_json,
             **cell,
-            **extra,
         )
         for _, cell in cells
         for run_seed in seeds

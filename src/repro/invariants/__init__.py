@@ -10,7 +10,8 @@ protocol code::
     sim = ChurnSimulation(config, factory, check_invariants=True)
     sim.run()   # raises InvariantError on the first violation
 
-or, accumulating for a report (the campaign ``--check-invariants`` path)::
+or, accumulating for a report (the campaign subcommands'
+``--check-invariants``)::
 
     checker = InvariantChecker(strict=False)
     sim = ChurnSimulation(config, factory, check_invariants=checker)
@@ -24,7 +25,12 @@ See ``docs/invariants.md`` for the invariant catalogue and how to add
 a new checker.
 """
 
-from .checker import ENV_CHECK_INVARIANTS, InvariantChecker, checking_enabled
+from .checker import (
+    CHECK_REPORT,
+    ENV_CHECK_INVARIANTS,
+    InvariantChecker,
+    checking_enabled,
+)
 from .checks import check_tree
 from .registry import (
     LAYERS,
@@ -44,6 +50,7 @@ from .registry import (
 # repro.invariants.checks); nothing else to do here.
 
 __all__ = [
+    "CHECK_REPORT",
     "ENV_CHECK_INVARIANTS",
     "LAYERS",
     "REGISTRY",

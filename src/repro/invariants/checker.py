@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
 from ..errors import InvariantError, SimulationError
 from .registry import (
@@ -38,14 +38,20 @@ from . import checks as _checks  # noqa: F401
 #: Slack for floating-point comparisons on virtual times and BTP values.
 _EPS = 1e-9
 
-#: ``run``/``all --check-invariants`` travels in this variable, so it
-#: reaches pool workers and in-process unit runs alike.
+#: ``--check-invariants`` travels in this variable, so it reaches pool
+#: workers and in-process runs alike.
 ENV_CHECK_INVARIANTS = "REPRO_CHECK_INVARIANTS"
+#: Its value for reporting checkers; any other but ``""`` and ``"0"`` is strict.
+CHECK_REPORT = "report"
 
 
-def checking_enabled() -> bool:
-    """Whether :data:`ENV_CHECK_INVARIANTS` asks for checked runs."""
-    return os.environ.get(ENV_CHECK_INVARIANTS, "") not in ("", "0")
+def checking_enabled() -> Union[bool, str]:
+    """The checking mode :data:`ENV_CHECK_INVARIANTS` asks for: ``False``,
+    ``True`` (strict) or :data:`CHECK_REPORT`; keys embed it as is."""
+    value = os.environ.get(ENV_CHECK_INVARIANTS, "")
+    if value in ("", "0"):
+        return False
+    return CHECK_REPORT if value == CHECK_REPORT else True
 
 
 class InvariantChecker:

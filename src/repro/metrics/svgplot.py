@@ -31,20 +31,25 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 80
+#: Chart size in pixels.
+WIDTH = 720
+HEIGHT = 440
+#: Upper bound on the ticks of one axis.
+MAX_TICKS = 6
 
 
-def nice_ticks(low: float, high: float, max_ticks: int = 6) -> List[float]:
+def nice_ticks(low: float, high: float) -> List[float]:
     """Round tick positions covering [low, high] (inclusive-ish)."""
     if not (math.isfinite(low) and math.isfinite(high)):
         return [0.0, 1.0]
     if high <= low:
         high = low + 1.0
     span = high - low
-    raw_step = span / max(1, max_ticks - 1)
+    raw_step = span / (MAX_TICKS - 1)
     magnitude = 10 ** math.floor(math.log10(raw_step))
     for factor in (1, 2, 2.5, 5, 10):
         step = factor * magnitude
-        if span / step <= max_ticks - 1:
+        if span / step <= MAX_TICKS - 1:
             break
     start = math.floor(low / step) * step
     ticks = []
@@ -88,8 +93,6 @@ def line_chart(
     y_label: str,
     x_values: Sequence[float],
     series: Dict[str, Sequence[float]],
-    width: int = 720,
-    height: int = 440,
     log_y: bool = False,
 ) -> str:
     """Render a line chart as an SVG document string."""
@@ -113,8 +116,8 @@ def line_chart(
     y_max = max(all_y)
     if not log_y:
         y_min = min(0.0, y_min)
-    plot_w_low, plot_w_high = MARGIN_LEFT, width - MARGIN_RIGHT
-    plot_h_low, plot_h_high = height - MARGIN_BOTTOM, MARGIN_TOP
+    plot_w_low, plot_w_high = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+    plot_h_low, plot_h_high = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
     x_scale = _Scale(min(xs), max(xs), plot_w_low, plot_w_high, log=False)
     y_scale = _Scale(
         y_min if not log_y else max(min(all_y), 1e-12),
@@ -125,11 +128,11 @@ def line_chart(
     )
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" '
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" '
         f'font-size="14" font-weight="bold">{escape(title)}</text>',
     ]
 
@@ -171,7 +174,7 @@ def line_chart(
         f'y2="{plot_h_high}" stroke="#333333"/>'
     )
     parts.append(
-        f'<text x="{(plot_w_low + plot_w_high) / 2}" y="{height - 44}" '
+        f'<text x="{(plot_w_low + plot_w_high) / 2}" y="{HEIGHT - 44}" '
         f'text-anchor="middle">{escape(x_label)}</text>'
     )
     parts.append(
@@ -201,7 +204,7 @@ def line_chart(
                 )
 
     # Legend along the bottom.
-    legend_y = height - 24
+    legend_y = HEIGHT - 24
     legend_x = MARGIN_LEFT
     for index, name in enumerate(series):
         colour = PALETTE[index % len(PALETTE)]
@@ -217,7 +220,7 @@ def line_chart(
     return "\n".join(parts)
 
 
-def experiment_chart(result, log_y: bool = False) -> str:
+def experiment_chart(result) -> str:
     """Render an :class:`~repro.experiments.registry.ExperimentResult`
     whose ``data`` carries a ``series`` mapping."""
     series = result.data.get("series")
@@ -242,5 +245,4 @@ def experiment_chart(result, log_y: bool = False) -> str:
         y_label="value",
         x_values=x_values,
         series=series,
-        log_y=log_y,
     )

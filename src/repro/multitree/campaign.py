@@ -180,24 +180,19 @@ def run_scenario(
     num_trees: int,
     seed: int,
     scale: float = 1.0,
-    check_invariants: bool = False,
 ) -> dict:
     """Run one K-tree scenario unit; returns the JSON-ready per-run record.
 
-    With ``check_invariants`` every stripe simulation carries its own
-    non-strict :class:`~repro.invariants.InvariantChecker`; findings land
-    in the record's ``invariants`` block instead of aborting the campaign.
+    The run flags decide each stripe's checker and obs channels
+    (:class:`~repro.experiments.common.Instruments`); a checked run's
+    findings over all stripes land in the record's ``invariants`` block.
     """
-    from ..experiments.common import shared_topology
+    from ..experiments.common import Instruments, shared_topology
 
     scenario = spec.scenario(scenario_name)
     config = spec.config(seed, scale)
     topology, oracle = shared_topology(config)
-    checker_factory = False
-    if check_invariants:
-        from ..invariants import InvariantChecker
-
-        checker_factory = lambda: InvariantChecker(strict=False)  # noqa: E731
+    instruments = Instruments()
     schedule = (
         FaultSchedule(seed=seed, faults=scenario.faults)
         if scenario.faults
@@ -212,10 +207,14 @@ def run_scenario(
         switch_interval_s=spec.switch_interval_s,
         schemes=spec.scheme_list() or None,
         faults=schedule,
-        check_invariants=checker_factory,
-        obs_meta={"scenario": scenario.name, "scale": scale},
+        check_invariants=instruments.checker,
     )
+    for stripe, meta in sim.stripes():
+        instruments.observe(
+            stripe, {"scenario": scenario.name, "scale": scale, **meta}
+        )
     result = sim.run()
+    instruments.emit()
 
     churn_result = getattr(result.per_tree[0], "churn", result.per_tree[0])
     record: dict = {
@@ -256,10 +255,8 @@ def run_scenario(
             }
             for name, entry in schemes.items()
         }
-    if check_invariants:
-        record["invariants"] = invariants_block(
-            [c for c in sim.invariant_checkers if c is not None]
-        )
+    if instruments.checkers:
+        record["invariants"] = invariants_block(instruments.checkers)
     return record
 
 
@@ -269,9 +266,10 @@ def gate_data(report_data: dict) -> dict:
     Per-run records carry diagnostic leaves that may legitimately be NaN
     at tiny scales (e.g. ``effective_delay_ms`` when no member holds all
     K stripes at the end state); the gated surface is the seed-averaged
-    summary, whose rates and series are finite by construction.
+    summary, whose rates and series are finite by construction.  A
+    checked campaign's ``invariant_violations`` count is no gate metric.
     """
-    data = {
+    return {
         key: report_data[key]
         for key in (
             "schema_version",
@@ -284,6 +282,3 @@ def gate_data(report_data: dict) -> dict:
             "summary",
         )
     }
-    if "invariant_violations" in report_data:
-        data["invariant_violations"] = report_data["invariant_violations"]
-    return data

@@ -33,10 +33,11 @@ stack per stripe:
 * **faults** — a :class:`~repro.faults.schedule.FaultSchedule` is
   planned once by :class:`~repro.multitree.faults.StripeFaultPlanner`
   and replayed into every stripe, so a correlated crash removes the
-  member from *all* trees atomically;
-* **observability** — per-stripe trace attachments, which turn each
-  stripe's ``outage_open``/``outage_close`` topics into
-  ``stripe_outage_open``/``stripe_outage_close`` records.
+  member from *all* trees atomically.
+
+The driver reads no run flag: its caller hands each stripe a checker
+through the ``check_invariants`` factory and observes the stripes
+:meth:`MultiTreeSimulation.stripes` lists before the run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from ..overlay.node import OverlayNode
 from ..protocols import PROTOCOLS
 from ..simulation.churn import ChurnRunResult, ChurnSimulation
 from ..simulation.streaming import RecoverySimulation
-from ..workload.generator import ChurnWorkload
 from .faults import StripeFaultPlanner
 from .metrics import MultiTreeResilienceMetrics
 
@@ -129,14 +129,14 @@ class MultiTreeSimulation:
         num_trees: int = 2,
         topology=None,
         oracle=None,
-        workload: Optional[ChurnWorkload] = None,
         stripe_protocols: Optional[Sequence[ProtocolSpec]] = None,
         switch_interval_s: Optional[float] = None,
         schemes: Optional[Sequence] = None,
         faults: Optional[FaultSchedule] = None,
-        check_invariants=False,
-        obs_meta: Optional[Dict[str, object]] = None,
+        check_invariants: Optional[Callable[[], object]] = None,
     ):
+        """``check_invariants`` is called once per stripe for that stripe
+        simulation's argument of the same name."""
         if num_trees < 1:
             raise ValueError(f"num_trees must be >= 1, got {num_trees}")
         self.num_trees = num_trees
@@ -191,12 +191,11 @@ class MultiTreeSimulation:
         self.stripe_resilience: List[ResilienceMetrics] = []
         self._feeds: List[ResilienceFeed] = []
         self._measured: Dict[int, Tuple[float, float]] = {}
-        self._attachments: List = [None] * num_trees
-        self._obs_meta = dict(obs_meta or {})
         self.resilience = MultiTreeResilienceMetrics(
             num_trees, stripe_config.warmup_s, stripe_config.horizon_s
         )
 
+        workload = None
         for tree_index in range(num_trees):
 
             def member_setup(node: OverlayNode, tree_index=tree_index) -> None:
@@ -212,14 +211,7 @@ class MultiTreeSimulation:
 
             seeded = self.stripe_config.with_seed(config.seed * 7 + tree_index)
             factory = _resolve_protocol(specs[tree_index])
-            # A callable (non-bool) check_invariants is a factory: each
-            # stripe simulation gets its own fresh checker instance (a
-            # checker binds to exactly one simulation).
-            stripe_check = (
-                check_invariants()
-                if callable(check_invariants)
-                else check_invariants
-            )
+            stripe_check = check_invariants() if check_invariants else False
             if self.schemes:
                 sim = RecoverySimulation(
                     seeded,
@@ -243,9 +235,7 @@ class MultiTreeSimulation:
                     check_invariants=stripe_check,
                 )
             # All stripes share one underlay and one workload.
-            topology, oracle = churn.topology, churn.oracle
-            if workload is None:
-                workload = churn.workload
+            topology, oracle, workload = churn.topology, churn.oracle, churn.workload
 
             resilience = ResilienceMetrics(
                 seeded.warmup_s, seeded.horizon_s
@@ -270,10 +260,23 @@ class MultiTreeSimulation:
                     tree_index, churn, self.stripe_resilience[tree_index]
                 )
 
-    @property
-    def invariant_checkers(self) -> List:
-        """Per-stripe attached checkers (``None`` entries when disabled)."""
-        return [churn.invariant_checker for churn in self._churns]
+    def stripes(self) -> List[Tuple[object, Dict[str, object]]]:
+        """Each stripe's simulation with the meta of its ObsUnit."""
+        population = int(self.base_config.workload.target_population)
+        return [
+            (
+                sim,
+                {
+                    "kind": "multitree",
+                    "protocol": self.stripe_protocol_names[tree_index],
+                    "population": population,
+                    "seed": int(self.base_config.seed),
+                    "stripe": tree_index,
+                    "trees": self.num_trees,
+                },
+            )
+            for tree_index, sim in enumerate(self._sims)
+        ]
 
     # -- listener ---------------------------------------------------------------
 
@@ -289,44 +292,13 @@ class MultiTreeSimulation:
             return
         self._measured[node.member_id] = (node.join_time, now)
 
-    def _attach_obs(self) -> None:
-        from ..obs.capture import obs_fingerprint
-
-        if not any(obs_fingerprint()):
-            return
-        from ..obs.attach import ObsAttachment
-
-        for tree_index, sim in enumerate(self._sims):
-            meta: Dict[str, object] = dict(self._obs_meta)
-            meta.update(
-                {
-                    "kind": "multitree",
-                    "protocol": self.stripe_protocol_names[tree_index],
-                    "population": int(
-                        self.base_config.workload.target_population
-                    ),
-                    "seed": int(self.base_config.seed),
-                    "stripe": tree_index,
-                    "trees": self.num_trees,
-                }
-            )
-            self._attachments[tree_index] = ObsAttachment(meta=meta).attach(sim)
-
     # -- run ----------------------------------------------------------------------
 
     def run(self) -> MultiTreeResult:
-        self._attach_obs()
         results = [sim.run() for sim in self._sims]
         for feed, churn in zip(self._feeds, self._churns):
             feed.finish(churn.sim.now)
-        result = self._combine(results)
-        if any(a is not None for a in self._attachments):
-            from ..obs.capture import emit_unit
-
-            for attachment in self._attachments:
-                if attachment is not None:
-                    emit_unit(attachment.finalize(result))
-        return result
+        return self._combine(results)
 
     def _combine(self, results: Sequence) -> MultiTreeResult:
         aggregate = self.resilience

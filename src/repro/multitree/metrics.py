@@ -53,23 +53,14 @@ class MultiTreeResilienceMetrics:
     which the driver keeps fixed by iterating members in insertion order.
     """
 
-    def __init__(
-        self,
-        num_trees: int,
-        window_start: float,
-        window_end: float,
-        series_bins: int = DEFAULT_SERIES_BINS,
-    ):
+    def __init__(self, num_trees: int, window_start: float, window_end: float):
         if num_trees < 1:
             raise ValueError(f"num_trees must be >= 1, got {num_trees}")
         if window_end <= window_start:
             raise ValueError("window_end must be > window_start")
-        if series_bins < 1:
-            raise ValueError(f"series_bins must be >= 1, got {series_bins}")
         self.num_trees = num_trees
         self.window_start = window_start
         self.window_end = window_end
-        self.series_bins = series_bins
         self.members_measured = 0
         #: Per-member counts (means over departed members).
         self._stripe_outage_counts: List[int] = []
@@ -81,9 +72,9 @@ class MultiTreeResilienceMetrics:
         self.blackout_seconds = 0.0
         #: Per-bin integrals: member view-time, summed stripe outage time,
         #: blackout time.
-        self._bin_view = [0.0] * series_bins
-        self._bin_outage = [0.0] * series_bins
-        self._bin_blackout = [0.0] * series_bins
+        self._bin_view = [0.0] * DEFAULT_SERIES_BINS
+        self._bin_outage = [0.0] * DEFAULT_SERIES_BINS
+        self._bin_blackout = [0.0] * DEFAULT_SERIES_BINS
 
     # -- recording -------------------------------------------------------------
 
@@ -127,14 +118,14 @@ class MultiTreeResilienceMetrics:
     def _bin_add(self, bins: List[float], intervals: Sequence[Interval]) -> None:
         """Distribute interval time over the window's equal-width bins."""
         span = self.window_end - self.window_start
-        width = span / self.series_bins
+        width = span / DEFAULT_SERIES_BINS
         for start, end in intervals:
             lo = max(start, self.window_start)
             hi = min(end, self.window_end)
             if hi <= lo:
                 continue
-            first = min(int((lo - self.window_start) / width), self.series_bins - 1)
-            last = min(int((hi - self.window_start) / width), self.series_bins - 1)
+            first = min(int((lo - self.window_start) / width), DEFAULT_SERIES_BINS - 1)
+            last = min(int((hi - self.window_start) / width), DEFAULT_SERIES_BINS - 1)
             for index in range(first, last + 1):
                 bin_lo = self.window_start + index * width
                 bin_hi = bin_lo + width
@@ -178,9 +169,9 @@ class MultiTreeResilienceMetrics:
         stay NaN-free for the validate gate's flattened paths.
         """
         span = self.window_end - self.window_start
-        width = span / self.series_bins
+        width = span / DEFAULT_SERIES_BINS
         t, blackout, outage, quality = [], [], [], []
-        for index in range(self.series_bins):
+        for index in range(DEFAULT_SERIES_BINS):
             view = self._bin_view[index]
             t.append(self.window_start + (index + 0.5) * width)
             if view <= 0:

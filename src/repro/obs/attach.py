@@ -340,7 +340,7 @@ class ObsAttachment:
             "histograms": dict(sorted(histograms.items())),
         }
 
-    def finalize(self, result=None) -> ObsUnit:
+    def finalize(self) -> ObsUnit:
         """Emit the run_end record, snapshot metrics, build the unit.
 
         Safe to call once; the unit is also handed to the ambient
@@ -351,7 +351,6 @@ class ObsAttachment:
         if self._finalized:
             raise ValueError("ObsAttachment.finalize called twice")
         self._finalized = True
-        del result  # reserved for future schema additions
         if not self.enabled:
             return ObsUnit(meta=dict(self.meta))
         writer = self.writer

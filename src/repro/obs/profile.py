@@ -14,6 +14,9 @@ from typing import Dict, Iterable, List, Optional
 
 from .capture import profile_enabled
 
+#: Event types the ``--profile`` section lists, hottest first.
+PROFILE_TOP = 25
+
 
 class Profiler:
     """Accumulates (calls, wall seconds) per event key.
@@ -82,7 +85,6 @@ def drain_stages() -> Dict[str, Dict[str, float]]:
 def render_profile_section(
     profile_units: Iterable[Dict[str, object]],
     stages: Optional[Dict[str, Dict[str, float]]] = None,
-    top: int = 25,
 ) -> str:
     """Human-readable ``--profile`` block: hottest event types + stages."""
     merged: Dict[str, List[float]] = {}
@@ -98,15 +100,15 @@ def render_profile_section(
                 acc[1] += entry["wall_s"]
     lines = [f"== profile ({n_units} runs) =="]
     ranked = sorted(merged.items(), key=lambda kv: (-kv[1][1], kv[0]))
-    dropped = len(ranked) - top
-    for key, (calls, wall) in ranked[:top]:
+    dropped = len(ranked) - PROFILE_TOP
+    for key, (calls, wall) in ranked[:PROFILE_TOP]:
         per_call = wall / calls * 1e6 if calls else 0.0
         lines.append(
             f"  {key:<40} calls={int(calls):>8}  wall={wall:9.4f}s"
             f"  {per_call:8.1f}us/call"
         )
     if dropped > 0:
-        lines.append(f"  ... {dropped} more event types (raise top= to see them)")
+        lines.append(f"  ... {dropped} more event types")
     if stages:
         lines.append("  -- pool stages --")
         for name, entry in stages.items():

@@ -31,6 +31,10 @@ from ..overlay.messages import MessageType
 from ..overlay.node import OverlayNode
 from .base import ProtocolContext, TreeProtocol
 
+#: Random layer-index entries :meth:`RelaxedOrderedProtocol.
+#: _first_found_in_layer` probes before falling back to the worst member.
+LAYER_PROBES = 8
+
 
 class RelaxedOrderedProtocol(TreeProtocol):
     """Template for the centralized relaxed BO / relaxed TO algorithms."""
@@ -98,7 +102,7 @@ class RelaxedOrderedProtocol(TreeProtocol):
         return None
 
     def _first_found_in_layer(
-        self, layer: int, my_priority: float, probes: int = 8
+        self, layer: int, my_priority: float
     ) -> Optional[OverlayNode]:
         """A qualifying member of ``layer``, as a top-down search would
         stumble on one — *not* necessarily the worst.
@@ -114,7 +118,7 @@ class RelaxedOrderedProtocol(TreeProtocol):
             integers = self.ctx.rng.integers
             alive = self._entry_alive
             priority = self.eviction_priority
-            for _ in range(min(probes, size)):
+            for _ in range(min(LAYER_PROBES, size)):
                 _, _, node, entry_layer = heap[int(integers(0, size))]
                 if alive(node, entry_layer) and priority(node) > my_priority:
                     return node

@@ -118,10 +118,7 @@ class TreeProtocol(abc.ABC):
     # -- shared helpers ------------------------------------------------------------
 
     def sample_candidates(
-        self,
-        node: OverlayNode,
-        extra_exclude: Iterable[OverlayNode] = (),
-        mature_view: bool = True,
+        self, node: OverlayNode, mature_view: bool = True
     ) -> List[OverlayNode]:
         """Up to ``join_candidates`` known attached members, excluding the
         joiner itself (the paper's "queries ... up to 100 known members").
@@ -138,7 +135,7 @@ class TreeProtocol(abc.ABC):
         candidates = self.ctx.membership.sample_for(
             node,
             self.ctx.config.join_candidates,
-            exclude=list(extra_exclude),
+            exclude=[],
             attached_only=True,
         )
         top = self.ctx.config.well_known_top if mature_view else 0

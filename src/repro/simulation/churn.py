@@ -52,6 +52,9 @@ JOIN_RETRY_S = 5.0
 #: counts as rejected; with the paper's capacity distribution this is
 #: rare and transient).
 MAX_JOIN_ATTEMPTS = 100
+#: Tree-quality samples (service delay, stretch) spread evenly over the
+#: measurement window.
+TREE_SAMPLES = 10
 
 
 #: Cause tag for ordinary workload-driven abrupt departures.
@@ -184,7 +187,6 @@ class ChurnSimulation:
         probe: Optional[Session] = None,
         listeners: Sequence[object] = (),
         member_setup: Optional[Callable[[OverlayNode], None]] = None,
-        tree_samples: int = 10,
         probe_sample_interval_s: float = 60.0,
         check_invariants=False,
         graceful_departure_fraction: float = 0.0,
@@ -265,7 +267,6 @@ class ChurnSimulation:
             mean_lifetime_s=config.workload.mean_lifetime_s,
         )
         self.member_setup = member_setup
-        self.tree_samples = tree_samples
         self.probe_sample_interval_s = probe_sample_interval_s
         if not 0.0 <= graceful_departure_fraction <= 1.0:
             raise SimulationError(
@@ -537,12 +538,10 @@ class ChurnSimulation:
     # -- tree quality sampling -------------------------------------------------------------
 
     def _schedule_tree_samples(self) -> None:
-        if self.tree_samples <= 0:
-            return
         start = self.config.warmup_s
         span = self.config.horizon_s - start
-        for i in range(self.tree_samples):
-            at = start + span * (i + 1) / (self.tree_samples + 1)
+        for i in range(TREE_SAMPLES):
+            at = start + span * (i + 1) / (TREE_SAMPLES + 1)
             self.sim.schedule_at(at, self._sample_tree, label="tree-sample")
 
     def _sample_tree(self) -> None:

@@ -4,7 +4,7 @@ Two kinds of digest, both SHA-256 hex:
 
 * **Unit keys** identify one unit of work — the canonical JSON of
   ``(experiment name, scale, seed, sorted kwargs, obs fingerprint,
-  schema version)``, plus the invariant flag when a run is checked.  The
+  schema version)``, plus the checking mode when a run is checked.  The
   kwargs carry everything that shapes a run (campaign spec JSON,
   scenario, protocol/scheme, feature flags), so two jobs collide exactly
   when re-running one would reproduce the other's bytes.  The observability fingerprint is part of the key for the same
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple, Union
 
 #: Version of the unit-key layout *and* the ledger schema.  Bumping it
 #: invalidates every stored unit (keys stop matching) and makes opening
@@ -49,11 +49,13 @@ def unit_key(
     seed: int,
     kwargs: Iterable[Tuple[str, object]] = (),
     obs_fingerprint: Sequence[bool] = (),
-    checked: bool = False,
+    checked: Union[bool, str] = False,
 ) -> str:
     """The ledger key of one (experiment, params, seed, scheme) unit.
 
-    ``checked`` enters the key only when set: unchecked keys never move.
+    ``checked`` is the checking mode and enters the key only when set:
+    unchecked keys never move, and a reporting run never replays into a
+    strict one.
     """
     doc = {
         "schema": STORE_SCHEMA_VERSION,
@@ -64,5 +66,5 @@ def unit_key(
         "obs": list(obs_fingerprint),
     }
     if checked:
-        doc["checked"] = True
+        doc["checked"] = checked
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()

@@ -61,8 +61,8 @@ class RunStore:
         Takes any object with the :class:`~repro.experiments.pool.
         ExperimentJob` attributes; the obs fingerprint is folded in so
         traced and untraced captures of the same parameters never
-        cross-replay, and the invariant flag so a checked run never
-        replays a row recorded unchecked.
+        cross-replay, and the checking mode so a checked run never
+        replays a row recorded unchecked or under another mode.
         """
         from ..invariants import checking_enabled
         from ..obs.capture import obs_fingerprint

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import tempfile
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -57,7 +56,7 @@ from .report import DiffReport, OracleOutcome
 _EXECUTION_UNIT = ("fig04", 0.05, (1, 2), {"sizes": (2000,)})
 
 
-def _diff_payloads(a, b, rtol: float = 0.0, atol: float = 0.0) -> List[Dict[str, str]]:
+def _diff_payloads(a, b) -> List[Dict[str, str]]:
     from ..store.cli import iter_report_diff
 
     # Compare the canonical JSON form of both sides: experiment payloads
@@ -67,7 +66,7 @@ def _diff_payloads(a, b, rtol: float = 0.0, atol: float = 0.0) -> List[Dict[str,
     b = json.loads(json.dumps(b))
     return [
         {"path": path or "<root>", "detail": detail}
-        for path, detail in iter_report_diff(a, b, rtol=rtol, atol=atol)
+        for path, detail in iter_report_diff(a, b)
     ]
 
 
@@ -455,26 +454,15 @@ def run_jobs_differential(seed: int = 0) -> OracleOutcome:
 
 def run_resume_differential(seed: int = 0) -> OracleOutcome:
     """Store-recorded + ``--resume``-replayed results vs uninterrupted."""
+    from ..experiments.common import exported_env
     from ..store.runstore import ENV_STORE_DIR, ENV_STORE_RESUME
 
     fresh = _run_execution_unit(jobs=1)
-    saved = {
-        name: os.environ.get(name)
-        for name in (ENV_STORE_DIR, ENV_STORE_RESUME)
-    }
     with tempfile.TemporaryDirectory(prefix="repro-validate-store-") as root:
-        try:
-            os.environ[ENV_STORE_DIR] = root
-            os.environ.pop(ENV_STORE_RESUME, None)
+        with exported_env({ENV_STORE_DIR: root, ENV_STORE_RESUME: None}):
             _run_execution_unit(jobs=1)  # record every unit
-            os.environ[ENV_STORE_RESUME] = "1"
-            replayed = _run_execution_unit(jobs=1)
-        finally:
-            for name, old in saved.items():
-                if old is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = old
+            with exported_env({ENV_STORE_RESUME: "1"}):
+                replayed = _run_execution_unit(jobs=1)
     differences = _diff_payloads(fresh, replayed)
     return OracleOutcome(
         oracle="resume",
@@ -486,22 +474,14 @@ def run_resume_differential(seed: int = 0) -> OracleOutcome:
 
 def run_obs_differential(seed: int = 0) -> OracleOutcome:
     """Observability-on vs observability-off: observation must not perturb."""
+    from ..experiments.common import exported_env
     from ..obs.capture import ENV_METRICS, ENV_TRACE
 
     plain = _run_execution_unit(jobs=1)
-    saved = {name: os.environ.get(name) for name in (ENV_TRACE, ENV_METRICS)}
-    try:
-        os.environ[ENV_TRACE] = "1"
-        os.environ[ENV_METRICS] = "1"
-        # execute_job opens its own job_capture(); setting the flags is
-        # all that is needed for the observed leg.
+    # execute_job opens its own job_capture(); setting the flags is all
+    # that is needed for the observed leg.
+    with exported_env({ENV_TRACE: "1", ENV_METRICS: "1"}):
         observed = _run_execution_unit(jobs=1)
-    finally:
-        for name, old in saved.items():
-            if old is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = old
     differences = _diff_payloads(plain, observed)
     return OracleOutcome(
         oracle="obs",

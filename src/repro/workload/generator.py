@@ -45,7 +45,6 @@ def generate_workload(
     horizon_s: float,
     attach_nodes: Sequence[int],
     rng: np.random.Generator,
-    root_node: Optional[int] = None,
     probe: Optional[Session] = None,
     prepopulate: bool = True,
 ) -> ChurnWorkload:
@@ -53,8 +52,8 @@ def generate_workload(
 
     ``attach_nodes`` is the pool of underlay stub nodes members may sit on
     (sampled uniformly with replacement, like the paper's "a fraction of
-    [stub nodes] are randomly selected to participate").  ``root_node``
-    defaults to a uniformly random attach node.  If a ``probe`` session is
+    [stub nodes] are randomly selected to participate"); the root sits on
+    a uniformly random attach node.  If a ``probe`` session is
     given (the "typical member" of Figs. 6 and 9), it is spliced into the
     trace with the reserved id it carries.
 
@@ -135,8 +134,7 @@ def generate_workload(
         sessions.append(probe)
     sessions.sort(key=lambda s: s.arrival_s)
 
-    if root_node is None:
-        root_node = int(rng.choice(np.asarray(attach_nodes)))
+    root_node = int(rng.choice(np.asarray(attach_nodes)))
     root = RootSpec(bandwidth=config.root_bandwidth, underlay_node=root_node)
 
     return ChurnWorkload(

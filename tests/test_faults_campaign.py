@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import FaultError
 from repro.experiments import pool
+from repro.experiments.common import exported_env
 from repro.faults import (
     DEFAULT_CAMPAIGN_SPEC,
     CampaignSpec,
@@ -20,6 +21,7 @@ from repro.faults import (
 )
 from repro.faults.campaign import REPORT_SCHEMA_VERSION
 from repro.faults.schedule import dump_spec_file
+from repro.invariants import CHECK_REPORT, ENV_CHECK_INVARIANTS
 from repro.multitree.campaign import (
     DEFAULT_MULTITREE_SPEC,
     MultiTreeCampaignSpec,
@@ -296,7 +298,8 @@ def test_checked_report_byte_identical_across_jobs_and_seeds():
     spec = CampaignSpec.from_spec({**SMALL_SPEC, "seeds": [1, 2, 3]})
     dumps = []
     for jobs in (1, 2, 4):
-        report = run_campaign(spec, scale=SCALE, jobs=jobs, check_invariants=True)
+        with exported_env({ENV_CHECK_INVARIANTS: CHECK_REPORT}):
+            report = run_campaign(spec, scale=SCALE, jobs=jobs)
         dumps.append(json.dumps(report.data, sort_keys=True, default=str))
         assert report.data["invariant_violations"] == 0
         runs = report.data["runs"]

@@ -82,7 +82,7 @@ def test_no_stray_trace_files_tracked():
 
 def test_gitignore_covers_trace_output():
     ignored = (REPO_ROOT / ".gitignore").read_text().splitlines()
-    for required in ("*.trace.jsonl", "*.jsonl.tmp-*"):
+    for required in ("*.trace.jsonl", ".repro-tmp-*"):
         assert required in ignored, f".gitignore is missing {required!r}"
 
 
@@ -90,7 +90,7 @@ def test_manifest_ships_goldens_but_not_trace_output():
     manifest = (REPO_ROOT / "MANIFEST.in").read_text()
     assert "recursive-include tests/golden *.jsonl" in manifest
     assert "global-exclude *.trace.jsonl" in manifest
-    assert "global-exclude *.jsonl.tmp-*" in manifest
+    assert "global-exclude .repro-tmp-*" in manifest
 
 
 RESULT_ARTIFACT_PATTERNS = (

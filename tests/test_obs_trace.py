@@ -86,35 +86,31 @@ def _golden_churn_config():
 def _multitree_trace_lines():
     """A tiny K=2 striped run under a correlated crash, traced per stripe.
 
-    The driver attaches its own per-stripe ObsAttachments from the
-    ambient obs environment, so this harness flips the trace flag and
-    collects the emitted units through a job capture — the same path a
-    traced campaign uses.
+    The harness's instrument seam observes each stripe the driver
+    yields, under the trace flag — the same path a traced campaign uses.
     """
+    from repro.experiments.common import Instruments, exported_env
     from repro.faults import FaultSchedule, NodeCrash
     from repro.multitree import MultiTreeSimulation
-    from repro.obs.capture import ENV_TRACE, job_capture
+    from repro.obs.capture import ENV_TRACE
 
     cfg = _golden_churn_config()
     schedule = FaultSchedule(
         seed=3, faults=(NodeCrash(count=4, at_frac=0.5),)
     )
-    saved = os.environ.get(ENV_TRACE)
-    os.environ[ENV_TRACE] = "1"
-    try:
-        with job_capture() as capture:
-            MultiTreeSimulation(
-                cfg,
-                num_trees=2,
-                stripe_protocols=["rost", "rost"],
-                faults=schedule,
-            ).run()
-    finally:
-        if saved is None:
-            del os.environ[ENV_TRACE]
-        else:
-            os.environ[ENV_TRACE] = saved
-    return [line for unit in capture.units for line in unit.trace_lines]
+    with exported_env({ENV_TRACE: "1"}):
+        instruments = Instruments()
+        sim = MultiTreeSimulation(
+            cfg,
+            num_trees=2,
+            stripe_protocols=["rost", "rost"],
+            faults=schedule,
+        )
+        for stripe, meta in sim.stripes():
+            instruments.observe(stripe, meta)
+        sim.run()
+        units = instruments.finish()
+    return [line for unit in units for line in unit.trace_lines]
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +123,8 @@ def _churn_trace_unit(profile: bool):
         metrics=True,
         profile=profile,
     ).attach(sim)
-    result = sim.run()
-    return attachment.finalize(result)
+    sim.run()
+    return attachment.finalize()
 
 
 def _check_golden(golden_path: Path, lines):
