@@ -7,7 +7,8 @@ Usage::
 
 Prints a percent-change table for the kernel event rates and every
 figure's wall clock / event count, plus the total-suite and sweep
-headlines, then applies a regression gate:
+headlines (with the sweep's parent and worker peak RSS, where a report
+records them; printed, never gated), then applies a regression gate:
 
 * kernel rates (higher is better) must not drop more than
   ``--max-regression`` percent;
@@ -148,6 +149,18 @@ def compare(
         elif old_sweep:
             lines.append("sweep wall           not comparable "
                          "(different --jobs)")
+        for who in ("parent", "workers"):
+            key = f"{who}_peak_rss_mb"
+            after = new_sweep.get(key)
+            if after is None:
+                continue
+            before = (old_sweep or {}).get(key)
+            was = "n/a" if before is None else f"{before:.1f} MB"
+            lines.append(
+                f"sweep {who} peak RSS".ljust(25)
+                + f"{was:>8s} -> {after:.1f} MB  "
+                f"{fmt_pct(pct_change(before, after))}  (not gated)"
+            )
 
     return lines, failures
 

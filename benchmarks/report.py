@@ -21,7 +21,8 @@ Schema (v1)::
       "total_figures_wall_s": float,
       "sweep":   {"jobs": int, "wall_s": float, "figures": int,
                   "unit_backed_figures": int, "unit_refs": int,
-                  "unique_units": int, "cache": {...}}
+                  "unique_units": int, "cache": {...},
+                  "parent_peak_rss_mb": float, "workers_peak_rss_mb": float}
     }
 
 The ``figures`` section isolates each figure (caches cleared in
@@ -30,7 +31,11 @@ batch through the sweep-unit scheduler, where cross-figure duplicate
 simulations are deduplicated to unique units and executed once.  Its
 ``cache`` counters are the parent-process run-cache hits observed while
 demuxing figures from unit payloads, i.e. direct evidence of how much
-work the dedup plan avoided.
+work the dedup plan avoided.  Its two peak resident sets are read once
+the sweep is over: the parent's (``RUSAGE_SELF``) is this process's
+lifetime peak, so it also bounds the serial figure pass that ran first,
+and the workers' (``RUSAGE_CHILDREN``) is the largest reaped worker's
+(0 when the sweep ran in-process).
 
 The *chain* kernel shape keeps a single pending timer (pure
 schedule/pop overhead); the *concurrent* shape holds thousands of
@@ -46,6 +51,7 @@ import gc
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from typing import Dict
@@ -120,6 +126,12 @@ def bench_figures(scale: float, seed: int) -> Dict[str, Dict[str, float]]:
     return figures
 
 
+def peak_rss_mb(who: int) -> float:
+    """Peak resident set in MB of ``RUSAGE_SELF`` or ``RUSAGE_CHILDREN``
+    (Linux reports ``ru_maxrss`` in KB)."""
+    return round(resource.getrusage(who).ru_maxrss / 1024.0, 1)
+
+
 def bench_sweep(scale: float, seed: int, jobs: int) -> Dict[str, object]:
     """One full campaign through the sweep-unit scheduler.
 
@@ -158,9 +170,12 @@ def bench_sweep(scale: float, seed: int, jobs: int) -> Dict[str, object]:
     wall = time.perf_counter() - started
     stats = common.cache_stats()
     common.clear_caches()
+    parent_rss = peak_rss_mb(resource.RUSAGE_SELF)
+    workers_rss = peak_rss_mb(resource.RUSAGE_CHILDREN)
     print(f"  all ({len(batch)} figures) --jobs {jobs}: {wall:.2f}s, "
           f"{len(unique)} unique units for {unit_refs} unit refs, "
-          f"cache {stats}", flush=True)
+          f"cache {stats}, peak RSS parent {parent_rss} MB "
+          f"workers {workers_rss} MB", flush=True)
     return {
         "jobs": jobs,
         "wall_s": round(wall, 3),
@@ -169,6 +184,8 @@ def bench_sweep(scale: float, seed: int, jobs: int) -> Dict[str, object]:
         "unit_refs": unit_refs,
         "unique_units": len(unique),
         "cache": stats,
+        "parent_peak_rss_mb": parent_rss,
+        "workers_peak_rss_mb": workers_rss,
     }
 
 

@@ -65,7 +65,7 @@ from .simulation import (
 from .topology import DelayOracle, TransitStubTopology, generate_transit_stub
 from .workload import ChurnWorkload, generate_workload
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "CapacityError",

@@ -191,37 +191,55 @@ class Instruments:
 
     The one place that decides them, from the run flags alone, for every
     simulation the harness builds: sweep units, campaign cells and the
-    extensions' runs.
+    extensions' runs.  It also closes what it observed: after
+    :meth:`finish` (or :meth:`emit`), read results, not simulations.
     """
 
-    def __init__(self) -> None:
-        self._mode = checking_enabled()
+    def __init__(self, reporting: bool = False) -> None:
+        """``reporting`` is for callers with an ``invariants`` block to
+        fill (the campaign cells): only they get reporting checkers under
+        :data:`~repro.invariants.CHECK_REPORT`.  Everyone else checks
+        strictly, so no finding can go unread."""
+        mode = checking_enabled()
+        self._mode = mode
+        self._strict = mode is True or not reporting
         self._observed = obs_active()
         #: Every checker :meth:`checker` made, in order.
         self.checkers: List[InvariantChecker] = []
         self._attachments: list = []
+        self._simulations: list = []
 
     def checker(self):
-        """A fresh checker for one simulation — strict, or reporting
-        under :data:`~repro.invariants.CHECK_REPORT` — or ``False`` when
-        the run is unchecked."""
+        """A fresh checker for one simulation — strict, or reporting for
+        a ``reporting`` caller under :data:`~repro.invariants.CHECK_REPORT`
+        — or ``False`` when the run is unchecked."""
         if not self._mode:
             return False
-        checker = InvariantChecker(strict=self._mode is True)
+        checker = InvariantChecker(strict=self._strict)
         self.checkers.append(checker)
         return checker
 
     def observe(self, sim, meta: Dict[str, object]) -> None:
-        """Attach an :class:`~repro.obs.attach.ObsAttachment` to ``sim``
-        when an obs channel is on; ``meta`` names the run in its ObsUnit."""
+        """Take ``sim`` for :meth:`finish` to close, and attach an
+        :class:`~repro.obs.attach.ObsAttachment` to it when an obs channel
+        is on; ``meta`` names the run in its ObsUnit."""
+        self._simulations.append(sim)
         if self._observed:
             from ..obs.attach import ObsAttachment
 
             self._attachments.append(ObsAttachment(meta=meta).attach(sim))
 
     def finish(self) -> List[ObsUnit]:
-        """The observed runs' finalized ObsUnits, in attach order."""
-        return [attachment.finalize() for attachment in self._attachments]
+        """The observed runs' finalized ObsUnits, in attach order.
+
+        Then every observed simulation is closed (``sim.close()``), so a
+        finished run is freed by reference counting instead of waiting
+        for a cyclic collection.
+        """
+        obs_units = [attachment.finalize() for attachment in self._attachments]
+        for sim in self._simulations:
+            sim.close()
+        return obs_units
 
     def emit(self) -> None:
         """Hand :meth:`finish`'s ObsUnits to the ambient job capture."""

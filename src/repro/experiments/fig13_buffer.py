@@ -45,7 +45,7 @@ def run(
         ]
         series.append((f"group={k}", values))
     table = render_series_table(
-        f"Fig. 13 — avg starving time ratio %% vs buffer "
+        f"Fig. 13 — avg starving time ratio % vs buffer "
         f"(population {population}, scale {scale:g})",
         "buffer (s)",
         [int(b) for b in BUFFERS_S],

@@ -63,7 +63,7 @@ def run(
         rows.append([label, *ratios])
         data[label] = dict(zip((str(k) for k in GROUP_SIZES), ratios))
     table = render_table(
-        f"Proactive rescue — avg starving time ratio %% by CER group size "
+        f"Proactive rescue — avg starving time ratio % by CER group size "
         f"(population {population}, scale {scale:g})",
         ["variant", *[f"group={k}" for k in GROUP_SIZES]],
         rows,

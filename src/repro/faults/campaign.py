@@ -423,7 +423,7 @@ def run_scenario(
     scenario = spec.scenario(scenario_name)
     config = spec.config(seed, scale)
     topology, oracle = shared_topology(config)
-    instruments = Instruments()
+    instruments = Instruments(reporting=True)
     sim = RecoverySimulation(
         config,
         protocol_factory(protocol_name),

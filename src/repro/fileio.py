@@ -1,14 +1,22 @@
-"""The one atomic writer: ``--out``, ``--json``, ``--trace``, store
-artifacts, validate reports and baselines, and topology cache entries.
+"""The one atomic writer and the one file lock.
 
-It sits below every package that publishes files, so ``topology/`` can
-use it without importing ``store/``.
+:func:`publish` writes ``--out``, ``--json``, ``--trace``, store
+artifacts, validate reports and baselines, and topology cache entries.
+:class:`FileLock` serializes the store's writers and the topology
+cache's builders.  This module sits below every package that publishes
+files, so ``topology/`` can use it without importing ``store/``.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from typing import Optional
+
+try:  # pragma: no cover - import guard exercised only off-POSIX
+    import fcntl
+except ImportError:  # pragma: no cover
+    fcntl = None
 
 
 def publish(path: str, data: bytes) -> None:
@@ -31,3 +39,59 @@ def publish(path: str, data: bytes) -> None:
     finally:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
+
+
+class FileLock:
+    """A reentrant advisory lock bound to one lock-file path.
+
+    Usable as a context manager::
+
+        with FileLock(os.path.join(root, ".lock")):
+            ...  # mutate ledger/objects
+
+    Reentrancy matters because a ledger method that takes the lock may
+    be called from a store method that already holds it.
+
+    The lock is *advisory* on purpose: readers never take it (reads are
+    safe against torn state by construction: files publish via temp
+    file + rename and SQLite reads are transactional), so a wedged
+    writer can never block triage commands like ``repro.store ls``.  On
+    platforms without ``fcntl`` the lock degrades to a no-op.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._handle: Optional[int] = None
+        self._depth = 0
+
+    def acquire(self) -> None:
+        if self._depth > 0:
+            self._depth += 1
+            return
+        if fcntl is not None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._handle = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+            fcntl.flock(self._handle, fcntl.LOCK_EX)
+        self._depth = 1
+
+    def release(self) -> None:
+        if self._depth == 0:
+            raise RuntimeError("release() without acquire()")
+        self._depth -= 1
+        if self._depth > 0:
+            return
+        if self._handle is not None:
+            fcntl.flock(self._handle, fcntl.LOCK_UN)
+            os.close(self._handle)
+            self._handle = None
+
+    @property
+    def held(self) -> bool:
+        return self._depth > 0
+
+    def __enter__(self) -> "FileLock":
+        self.acquire()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.release()

@@ -192,7 +192,7 @@ def run_scenario(
     scenario = spec.scenario(scenario_name)
     config = spec.config(seed, scale)
     topology, oracle = shared_topology(config)
-    instruments = Instruments()
+    instruments = Instruments(reporting=True)
     schedule = (
         FaultSchedule(seed=seed, faults=scenario.faults)
         if scenario.faults

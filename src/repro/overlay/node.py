@@ -124,6 +124,14 @@ class OverlayNode:
         if until > self.locked_until:
             self.locked_until = until
 
+    def unlink(self) -> None:
+        """Drop every reference to another member: the tree links, the
+        rejoin hint and the uplink memo (closing a finished run)."""
+        self.parent = None
+        self.children = []
+        self.rejoin_hint = None
+        self._uplink_parent = None
+
     # -- tree-walk helpers ------------------------------------------------------
 
     def ancestors(self) -> List["OverlayNode"]:

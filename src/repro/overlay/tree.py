@@ -245,6 +245,20 @@ class MulticastTree:
         self._notify_position(parent)
         self._notify_position(grandparent)
 
+    def close(self) -> None:
+        """Unlink every member and drop the listeners once the run is over.
+
+        A finished tree is one large reference cycle (parent and child
+        links, rejoin hints, uplink memos, and the ordered protocols'
+        index hooks); breaking it lets reference counting free the run.
+        The fields are reset directly, not through the operations above:
+        closing is no tree operation and notifies nobody.
+        """
+        for node in self.members.values():
+            node.unlink()
+        self.position_listeners = []
+        self.detach_listeners = []
+
     # -- internals ----------------------------------------------------------------
 
     def _require_member(self, node: OverlayNode) -> None:

@@ -115,6 +115,10 @@ class TreeProtocol(abc.ABC):
         ``until`` (ROST's switching defers to such locks)."""
         node.lock(until)
 
+    def close(self) -> None:
+        """Hook: the run is over; drop what refers back to the protocol
+        (ROST's switch timers)."""
+
     # -- shared helpers ------------------------------------------------------------
 
     def sample_candidates(

@@ -126,6 +126,10 @@ class RostProtocol(TreeProtocol):
         if self.referees is not None:
             self.referees.on_departure(node)
 
+    def close(self) -> None:
+        # Each switch timer's action is a partial of this protocol.
+        self._switch_processes.clear()
+
     # -- switching ---------------------------------------------------------------------
 
     def _start_switching(self, node: OverlayNode) -> None:

@@ -236,3 +236,12 @@ class Simulator:
         self._queue.clear()
         self._now = 0.0
         self._events_processed = 0
+
+    def close(self) -> None:
+        """Release what a finished run holds: the pending events (see
+        :meth:`EventQueue.clear`), the listener list and the profiling
+        hook.  The clock and the event count stay readable."""
+        self._queue.clear()
+        self._listeners = []
+        self._handlers = {}
+        self.profile = None

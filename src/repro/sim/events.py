@@ -139,8 +139,18 @@ class EventQueue:
             heapq.heappop(heap)
 
     def clear(self) -> None:
-        """Discard every pending event."""
+        """Discard every pending event.
+
+        A discarded event never fires, so it also drops its action and
+        its link back to this queue: a handle kept elsewhere (a pending
+        rejoin, a timer) then holds neither the action's closure nor the
+        queue, and a finished run's events are freed by reference
+        counting.
+        """
         for entry in self._heap:
-            entry[3].cancelled = True
+            event = entry[3]
+            event.cancelled = True
+            event.action = None
+            event._queue = None
         self._heap.clear()
         self._live = 0

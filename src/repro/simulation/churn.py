@@ -318,6 +318,26 @@ class ChurnSimulation:
             self.invariant_checker.finalize()
         return self._result()
 
+    def close(self) -> None:
+        """Release the finished run's object graph.
+
+        The pending events, the listener table, the members' links, the
+        protocol's timers, the pending rejoins, the caller's
+        ``member_setup`` hook and the invariant checker each close a
+        reference cycle through this simulation; dropping them lets
+        reference counting free the run once nobody holds it.  The result
+        :meth:`run` returned refers to none of them, and the shared
+        underlay, oracle and workload are left alone for the next run.
+        """
+        self.sim.close()
+        self.tree.close()
+        self.protocol.close()
+        self._pending_rejoins.clear()
+        self.member_setup = None
+        # The checker refers back to this run; its findings stay with
+        # whoever made it.
+        self.invariant_checker = None
+
     def on_overhead(self, reconnections: int) -> None:
         """The ``overhead`` topic: a protocol's tree optimization just
         reconnected ``reconnections`` members (ROST switches and

@@ -505,3 +505,9 @@ class RecoverySimulation:
     def run(self) -> RecoveryRunResult:
         churn_result = self.churn.run()
         return RecoveryRunResult(churn=churn_result, schemes=self.observer.results)
+
+    def close(self) -> None:
+        """Close the churn run (:meth:`ChurnSimulation.close`) and unbind
+        the observer from it."""
+        self.churn.close()
+        self.observer.churn = None

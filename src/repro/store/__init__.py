@@ -6,10 +6,10 @@ Command-line access: ``python -m repro.store {ls,show,diff,gc,export}``.
 """
 
 from ..errors import StoreError, StoreSchemaError
+from ..fileio import FileLock
 from .artifacts import ArtifactStore
 from .keys import STORE_SCHEMA_VERSION, canonical_json, content_digest, unit_key
 from .ledger import Ledger
-from .locks import FileLock
 from .runstore import (
     ENV_STORE_DIR,
     ENV_STORE_RESUME,

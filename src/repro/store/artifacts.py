@@ -20,9 +20,8 @@ import os
 from typing import Iterator, List, Optional
 
 from ..errors import StoreError
-from ..fileio import publish
+from ..fileio import FileLock, publish
 from .keys import content_digest
-from .locks import FileLock
 
 _HEX = set("0123456789abcdef")
 

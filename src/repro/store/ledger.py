@@ -28,8 +28,8 @@ import time
 from typing import Dict, List, Optional
 
 from ..errors import StoreError, StoreSchemaError
+from ..fileio import FileLock
 from .keys import STORE_SCHEMA_VERSION
-from .locks import FileLock
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (

@@ -32,10 +32,10 @@ import os
 from typing import Dict, Optional, Tuple
 
 from ..errors import StoreError
+from ..fileio import FileLock
 from .artifacts import ArtifactStore
 from .keys import STORE_SCHEMA_VERSION, canonical_json, unit_key
 from .ledger import Ledger
-from .locks import FileLock
 
 ENV_STORE_DIR = "REPRO_STORE_DIR"
 ENV_STORE_RESUME = "REPRO_STORE_RESUME"

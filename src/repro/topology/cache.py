@@ -17,6 +17,10 @@ content-addressed instead:
   setting the ``REPRO_CACHE_DIR`` environment variable.  The experiment
   pool sets it for its workers, and this is how they share underlays:
   the first worker to need one builds and stores it, the others load it.
+  A disk-tier miss builds under a lock file beside the entry
+  (:class:`repro.fileio.FileLock`, removed once the entry is published)
+  and reads the disk again once it holds the lock, so workers that miss
+  the same key at once build it once.
 
 Disk writes are atomic (:func:`repro.fileio.publish`: a fsynced temp
 file, then ``os.replace``), so a killed run can never leave a truncated
@@ -32,12 +36,13 @@ import hashlib
 import io
 import os
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..config import TopologyConfig
-from ..fileio import publish
+from ..fileio import FileLock, publish
 from .graph import Graph
 from .routing import DelayOracle
 from .transit_stub import StubDomain, TransitStubTopology, generate_transit_stub
@@ -48,6 +53,8 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 DEFAULT_MEMORY_SLOTS = 8
 #: Bumped whenever the on-disk layout changes; stale files are ignored.
 FORMAT_VERSION = 1
+#: The lock file a disk-tier build holds sits beside its entry.
+_LOCK_SUFFIX = ".lock"
 
 
 def topology_cache_key(config: TopologyConfig) -> str:
@@ -137,7 +144,10 @@ class TopologyCache:
         """The (topology, oracle) pair for ``config``, computed at most once.
 
         Lookup order: memory LRU, then the disk tier, then a full
-        generate + precompute (which populates both tiers).
+        generate + precompute (which populates both tiers).  A disk-tier
+        miss takes the entry's lock file and reads the disk again before
+        it builds: another process may have built the entry meanwhile.
+        Memory hits and runs without a disk tier never touch the lock.
         """
         key = topology_cache_key(config)
         cached = self._memory.get(key)
@@ -146,26 +156,34 @@ class TopologyCache:
             self.memory_hits += 1
             return cached
 
-        pair = self._load_from_disk(key, config)
-        if pair is None:
-            self.misses += 1
-            topology = generate_transit_stub(config)
-            pair = (topology, DelayOracle(topology))
-            self._store_to_disk(key, pair)
-        else:
-            self.disk_hits += 1
+        path = self._entry_path(key)
+        pair = self._load_from_disk(path, config)
+        if pair is None and path is not None:
+            with _build_lock(path):
+                pair = self._load_from_disk(path, config)
+                if pair is None:
+                    pair = self._generate(config)
+                    self._store_to_disk(path, pair)
+        elif pair is None:
+            pair = self._generate(config)
 
         self._memory[key] = pair
         while len(self._memory) > self._memory_slots:
             self._memory.popitem(last=False)
         return pair
 
+    def _generate(
+        self, config: TopologyConfig
+    ) -> Tuple[TransitStubTopology, DelayOracle]:
+        self.misses += 1
+        topology = generate_transit_stub(config)
+        return topology, DelayOracle(topology)
+
     # -- disk tier -----------------------------------------------------------
 
     def _load_from_disk(
-        self, key: str, config: TopologyConfig
+        self, path: Optional[str], config: TopologyConfig
     ) -> Optional[Tuple[TransitStubTopology, DelayOracle]]:
-        path = self._entry_path(key)
         if path is None or not os.path.exists(path):
             return None
         try:
@@ -175,6 +193,7 @@ class TopologyCache:
             oracle = DelayOracle.from_matrices(
                 topology, {"intra": arrays["oracle_intra"], "core": arrays["oracle_core"]}
             )
+            self.disk_hits += 1
             return topology, oracle
         except Exception:
             # Corrupt/truncated/stale entry: regenerate rather than fail.
@@ -185,11 +204,8 @@ class TopologyCache:
             return None
 
     def _store_to_disk(
-        self, key: str, pair: Tuple[TransitStubTopology, DelayOracle]
+        self, path: str, pair: Tuple[TransitStubTopology, DelayOracle]
     ) -> None:
-        path = self._entry_path(key)
-        if path is None:
-            return
         topology, oracle = pair
         arrays = _topology_to_arrays(topology)
         matrices = oracle.to_matrices()
@@ -199,9 +215,30 @@ class TopologyCache:
         np.savez(buffer, **arrays)
         try:
             publish(path, buffer.getvalue())
+            # The lock file has done its job: later arrivals find the
+            # entry before they reach for it, and a process already
+            # waiting on it reads the disk again once it holds it.
+            os.remove(path + _LOCK_SUFFIX)
         except OSError:
             # A read-only or full cache directory must never fail the run.
             pass
+
+
+@contextmanager
+def _build_lock(entry_path: str) -> Iterator[None]:
+    """Hold the lock file beside ``entry_path`` for the block, or run it
+    unlocked when the lock file cannot be opened (a read-only cache
+    directory must never fail the run)."""
+    lock = FileLock(entry_path + _LOCK_SUFFIX)
+    try:
+        lock.acquire()
+    except OSError:
+        yield
+        return
+    try:
+        yield
+    finally:
+        lock.release()
 
 
 #: Process-wide cache shared by the experiment harness.

@@ -113,6 +113,7 @@ def test_fig12_recovery_sweep():
 def test_fig13_buffer_sweep():
     result = get_experiment("fig13").run(population=2000, **TINY)
     assert set(result.data["series"]) == {"group=1", "group=2", "group=3"}
+    assert "starving time ratio % vs buffer" in result.table
 
 
 def test_fig14_combined_comparison():
@@ -153,6 +154,7 @@ def test_ext_multitree_runs():
 def test_ext_rescue_runs():
     result = get_experiment("ext-rescue").run(population=2000, **TINY)
     assert set(result.data) == {"baseline", "rescue"}
+    assert "starving time ratio % by CER group size" in result.table
     for k in ("1", "2", "3"):
         assert result.data["rescue"][k] <= result.data["baseline"][k] + 0.05
 

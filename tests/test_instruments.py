@@ -67,11 +67,15 @@ def test_checker_follows_the_mode():
         instruments = Instruments()
         first, second = instruments.checker(), instruments.checker()
     with exported_env({ENV_CHECK_INVARIANTS: CHECK_REPORT}):
-        reporting = Instruments().checker()
+        reporting = Instruments(reporting=True).checker()
+        unreported = Instruments().checker()
     assert isinstance(first, InvariantChecker) and first.strict
     assert first is not second
     assert instruments.checkers == [first, second]
     assert isinstance(reporting, InvariantChecker) and not reporting.strict
+    # Only a caller with an invariants block to fill reports; every other
+    # caller checks strictly, so no finding is dropped.
+    assert isinstance(unreported, InvariantChecker) and unreported.strict
 
 
 def test_ext_rescue_is_traced(tmp_path, capsys):
@@ -103,6 +107,18 @@ def test_run_check_invariants_is_strict_everywhere(planted_violation, argv):
     with pytest.raises(InvariantError, match=planted_violation):
         runner.main([*argv, "--seed", "3", "--jobs", "1", "--check-invariants"])
     assert ENV_CHECK_INVARIANTS not in os.environ
+
+
+@pytest.mark.parametrize("experiment", ["fig05", "ext-rescue"])
+def test_hand_set_report_mode_checks_strictly(planted_violation, experiment):
+    """Only the campaign cells have an ``invariants`` block to fill: a
+    sweep unit or an extension run under a hand-set reporting mode
+    checks strictly, so its findings raise instead of vanishing."""
+    with exported_env({ENV_CHECK_INVARIANTS: CHECK_REPORT}):
+        with pytest.raises(InvariantError, match=planted_violation):
+            runner.main(
+                ["run", experiment, "--scale", "0.02", "--seed", "3", "--jobs", "1"]
+            )
 
 
 def test_campaign_subcommand_reports_and_exits_1(

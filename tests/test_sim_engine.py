@@ -124,6 +124,20 @@ def test_reset_rewinds_everything():
     assert sim.events_processed == 0
 
 
+def test_close_releases_events_and_listeners():
+    sim = Simulator()
+    sim.subscribe(SimpleNamespace(on_event_pre=lambda event: None))
+    sim.profile = lambda event, wall_s: None
+    pending = sim.schedule_at(2.0, lambda: None)
+    sim.run_until(1.0)
+    sim.close()
+    assert sim.pending_events == 0
+    assert pending.action is None
+    assert sim.listeners == () and sim.handlers("event_pre") == ()
+    assert sim.profile is None
+    assert sim.now == 1.0
+
+
 # -- one dispatch loop behind run / run(max_events) / run_until -----------------
 
 

@@ -92,6 +92,18 @@ def test_clear_discards_everything():
     assert all(e.cancelled for e in events)
 
 
+def test_clear_drops_actions_and_queue_links():
+    """A cleared event never fires, so it keeps neither its action's
+    closure nor the queue alive through a handle held elsewhere."""
+    q = EventQueue()
+    events = [q.schedule(float(i), lambda: None) for i in range(3)]
+    events[1].cancel()
+    q.clear()
+    for event in events:
+        assert event.action is None
+        assert event._queue is None
+
+
 def test_labels_are_kept():
     q = EventQueue()
     e = q.schedule(1.0, lambda: None, label="rejoin")

@@ -1,5 +1,6 @@
 """The two-tier topology/oracle cache: fidelity, LRU behavior, disk tier."""
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -131,6 +132,52 @@ def test_readonly_cache_dir_is_tolerated(tmp_path):
         assert topo.num_nodes == SMALL.total_nodes
     finally:
         os.chmod(target, 0o700)
+
+
+def _get_after_barrier(disk_dir, barrier, results):
+    cache = TopologyCache(memory_slots=1, disk_dir=disk_dir)
+    barrier.wait()
+    topology, oracle = cache.get(SMALL)
+    matrices = oracle.to_matrices()
+    results.put(
+        {
+            "misses": cache.misses,
+            "disk_hits": cache.disk_hits,
+            "node_domain": topology.node_domain.tolist(),
+            "intra": matrices["intra"].tolist(),
+            "core": matrices["core"].tolist(),
+        }
+    )
+
+
+def test_concurrent_disk_misses_build_once(tmp_path):
+    """Three processes missing one key at once (more than a 2-vCPU host
+    has cores) build it once: the others wait on the entry's lock file,
+    then load what the first stored."""
+    context = multiprocessing.get_context("spawn")
+    count = 3
+    barrier = context.Barrier(count)
+    results = context.Queue()
+    workers = [
+        context.Process(
+            target=_get_after_barrier, args=(str(tmp_path), barrier, results)
+        )
+        for _ in range(count)
+    ]
+    for worker in workers:
+        worker.start()
+    got = [results.get(timeout=120) for _ in workers]
+    for worker in workers:
+        worker.join(timeout=120)
+        assert worker.exitcode == 0
+    assert sum(r["misses"] for r in got) == 1
+    assert sum(r["disk_hits"] for r in got) == count - 1
+    for other in got[1:]:
+        for name in ("node_domain", "intra", "core"):
+            assert other[name] == got[0][name]
+    assert [p.name for p in tmp_path.iterdir()] == [
+        f"topology-{topology_cache_key(SMALL)}.npz"
+    ]
 
 
 def test_shared_topology_uses_default_cache():
